@@ -3,13 +3,12 @@
 The greedy concretizer dead-ends whenever a preferred provider, version,
 variant default, or compiler runs into a declared conflict; the solver
 exists to search past those dead ends and return the *best-scoring*
-consistent DAG.  This benchmark drives all three concretizers over the
+consistent DAG.  This benchmark drives both concretizers over the
 same generated conflict-rich universe (the selftest campaign's phase-5
-fixture shape) and records the two numbers the ISSUE gates on:
+fixture shape) and records two numbers:
 
 * **rescue rate** — the fraction of greedy failures the solver turns
-  into solutions (backtracking's provider-only rescues are a strict
-  subset; the delta is the solver's own contribution), and
+  into solutions, and
 * **solve latency** — wall-clock per solver concretization across the
   whole stream, plus the attempt counts behind it (branch-and-bound
   with request floors keeps constrained requests near one attempt).
@@ -26,7 +25,6 @@ from conftest import write_result
 
 from repro.compilers.registry import Compiler, CompilerRegistry
 from repro.config.config import Config
-from repro.core.backtracking import BacktrackingConcretizer
 from repro.core.concretizer import Concretizer
 from repro.core.solver import SolverConcretizer
 from repro.repo.providers import ProviderIndex
@@ -72,7 +70,6 @@ def _attempt(concretizer, request):
 def test_solver_rescue_rate_and_latency(benchmark):
     repo, args = _fixture()
     greedy = Concretizer(*args)
-    backtracking = BacktrackingConcretizer(*args, max_attempts=64)
     solver = SolverConcretizer(*args, max_attempts=512)
     requests = SpecGenerator(SEED, repo).specs(CASES)
 
@@ -81,12 +78,6 @@ def test_solver_rescue_rate_and_latency(benchmark):
     start = time.perf_counter()
     greedy_results = [_attempt(greedy, request) for request in requests]
     greedy_wall = time.perf_counter() - start
-
-    backtracking_rescued = sum(
-        1
-        for request, g in zip(requests, greedy_results)
-        if g is None and _attempt(backtracking, request) is not None
-    )
 
     # -- the measured pass: the full stream through the solver ------------
     def solver_sweep():
@@ -133,8 +124,6 @@ def test_solver_rescue_rate_and_latency(benchmark):
             "greedy_failures": len(greedy_failures),
             "rescued": len(rescued),
             "rescue_rate": round(len(rescued) / len(greedy_failures), 3),
-            "backtracking_rescued": backtracking_rescued,
-            "solver_only_rescues": len(rescued) - backtracking_rescued,
             "improvements": len(improvements),
             "divergences": len(divergences),
             "proven_optimal_rate": round(proven / len(solved), 3),
@@ -149,11 +138,9 @@ def test_solver_rescue_rate_and_latency(benchmark):
     lines = [
         "Optimizing solver: conflict-rich universe, %d requests" % CASES,
         "",
-        "greedy failures: %d; rescued by solver: %d (%.0f%%), by "
-        "backtracking: %d" % (
+        "greedy failures: %d; rescued by solver: %d (%.0f%%)" % (
             len(greedy_failures), len(rescued),
             100.0 * len(rescued) / len(greedy_failures),
-            backtracking_rescued,
         ),
         "improvements over greedy: %d; divergences: %d; proven optimal: "
         "%d/%d" % (
@@ -171,9 +158,8 @@ def test_solver_rescue_rate_and_latency(benchmark):
     write_result("solver.txt", "\n".join(lines) + "\n")
 
     # the gates: any hash mismatch on a greedy success must be a strict
-    # score improvement, backtracking's rescues are never missed, the
-    # universe produces real dead ends, and every answer is proven
+    # score improvement, the universe produces real dead ends, and
+    # every answer is proven
     assert not divergences
-    assert len(rescued) >= backtracking_rescued
     assert rescued, "the conflict knobs produced no rescuable dead ends"
     assert proven == len(solved), "an unproven incumbent leaked through"

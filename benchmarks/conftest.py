@@ -38,6 +38,5 @@ def universe_session(tmp_path_factory):
 
     session = Session.create(str(tmp_path_factory.mktemp("bench-245")), packages=None)
     session.repo.repos = full_universe(total=245).repos
-    session._provider_index = None
     session.seed_web()
     return session

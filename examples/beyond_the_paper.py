@@ -3,8 +3,9 @@
 
 Four features the SC '15 paper planned but did not ship:
 
-1. **Backtracking concretization** — the hwloc conflict the greedy
-   algorithm documents as a limitation, solved by provider search;
+1. **Search past greedy dead ends** — the hwloc conflict the greedy
+   algorithm documents as a limitation, solved by the optimizing
+   solver (``concretizer="solver"``);
 2. **Compiler-feature dependencies** — ``requires_compiler('cxx@14:')``
    steering compiler selection and rejecting incapable pins;
 3. **Architecture descriptions** — per-platform configure args and
@@ -20,7 +21,6 @@ import sys
 import tempfile
 
 from repro import Session, Spec
-from repro.core.backtracking import BacktrackingConcretizer
 from repro.core.concretizer import ConcretizationError
 from repro.directives import depends_on, provides, requires_compiler, version
 from repro.package.package import Package
@@ -31,8 +31,8 @@ def main():
     session = Session.create(workdir)
     repo = session.repo.repos[0]
 
-    # -- 1. backtracking ---------------------------------------------------
-    print("== 1. backtracking concretization (the §4.5 hwloc case)")
+    # -- 1. the solver -----------------------------------------------------
+    print("== 1. solver concretization (the §4.5 hwloc case)")
 
     @repo.register("hwloc")
     class Hwloc(Package):
@@ -60,19 +60,15 @@ def main():
     session.config.update(
         "user", {"preferences": {"providers": {"netapi": ["fastmpi", "safempi"]}}}
     )
-    session._provider_index = None
     try:
         session.concretize(Spec("simulator"))
         print("   greedy unexpectedly succeeded?!")
     except ConcretizationError as e:
         print("   greedy fails (as §4.5 documents): %s" % e.message[:70])
-    bt = BacktrackingConcretizer(
-        session.repo, session.provider_index, session.compilers,
-        session.config, session.policy,
-    )
-    solved = bt.concretize(Spec("simulator"))
-    print("   backtracking solves it with %s in %d passes\n"
-          % (solved["netapi"].name, bt.last_attempts))
+    solver = session.snapshots.current().concretizer("solver")
+    solved = solver.concretize(Spec("simulator"))
+    print("   the solver solves it with %s in %d passes\n"
+          % (solved["netapi"].name, solver.last_attempts))
 
     # -- 2. compiler features -------------------------------------------------
     print("== 2. compiler-feature dependencies")

@@ -166,7 +166,7 @@ def cmd_spec(args):
 
     abstract = Spec(_spec_arg(args))
     # argparse default is True; --no-concretize-cache stores False
-    use_cache = False if getattr(args, "concretize_cache", True) is False else None
+    use_cache = getattr(args, "concretize_cache", True)
     print("Input spec")
     print("------------------------------")
     print(abstract.tree())
@@ -201,8 +201,7 @@ def cmd_spec(args):
             session.telemetry.remove_sink(sink)
     else:
         concrete = session.concretize(
-            abstract, backtrack=getattr(args, "backtrack", False),
-            use_cache=use_cache,
+            abstract, use_cache=use_cache,
             concretizer=getattr(args, "concretizer", None),
         )
     print("Concretized")
@@ -211,40 +210,35 @@ def cmd_spec(args):
     return 0
 
 
+def _when(entry):
+    return "  when %s" % entry["when"] if entry["when"] else ""
+
+
 def cmd_info(args):
-    session = _session(args)
-    name = _spec_arg(args)
-    cls = session.repo.get_class(name)
-    print("Package:   %s" % name)
-    print("Homepage:  %s" % (cls.homepage or "(none)"))
-    print("URL:       %s" % (cls.url or "(none)"))
-    if cls.__doc__:
+    """Format the State's ``package_info`` (what ``spack_info`` serves)."""
+    info = _session(args).snapshots.current().package_info(_spec_arg(args))
+    print("Package:   %s" % info["name"])
+    print("Homepage:  %s" % (info["homepage"] or "(none)"))
+    print("URL:       %s" % (info["url"] or "(none)"))
+    if info["description"]:
         print("Description:")
-        print("    %s" % cls.__doc__.strip().splitlines()[0])
+        print("    %s" % info["description"])
     print("Safe versions:")
-    for v in cls.safe_versions():
+    for v in info["safe_versions"]:
         print("    %s" % v)
-    if cls.variants:
+    if info["variants"]:
         print("Variants:")
-        for vname, variant in sorted(cls.variants.items()):
+        for vname, variant in info["variants"].items():
             print("    %-12s [default: %s]  %s"
-                  % (vname, variant.default, variant.description))
-    if cls.dependencies:
-        print("Dependencies:")
-        for dep_name, constraints in sorted(cls.dependencies.items()):
-            for dc in constraints:
-                when = "  when %s" % dc.when if dc.when else ""
-                print("    %s%s" % (dc.spec, when))
-    if cls.provided:
-        print("Provides:")
-        for interface in cls.provided:
-            when = "  when %s" % interface.when if interface.when else ""
-            print("    %s%s" % (interface.spec, when))
-    if cls.compiler_requirements:
-        print("Compiler requirements:")
-        for feature, when in cls.compiler_requirements:
-            suffix = "  when %s" % when if when else ""
-            print("    %s%s" % (feature, suffix))
+                  % (vname, variant["default"], variant["description"]))
+    sections = (("Dependencies:", "dependencies", "spec"),
+                ("Provides:", "provides", "spec"),
+                ("Compiler requirements:", "compiler_requirements", "feature"))
+    for title, key, field in sections:
+        if info[key]:
+            print(title)
+            for entry in info[key]:
+                print("    %s%s" % (entry[field], _when(entry)))
     return 0
 
 
@@ -922,13 +916,8 @@ def cmd_env(args):
 
 
 def cmd_repo_list(args):
-    session = _session(args)
-    import fnmatch
-
-    names = session.repo.all_package_names()
-    pattern = _spec_arg(args)
-    if pattern:
-        names = [n for n in names if fnmatch.fnmatch(n, "*%s*" % pattern)]
+    """Format the State's ``list_packages`` (what ``spack_list`` serves)."""
+    names = _session(args).snapshots.current().list_packages(_spec_arg(args))
     print("==> %d packages" % len(names))
     for name in names:
         print("    %s" % name)
@@ -942,6 +931,8 @@ def _add_spec_argument(parser):
 
 
 def build_parser():
+    from repro.core import CONCRETIZERS
+
     parser = argparse.ArgumentParser(
         prog="repro-spack",
         description="Reproduction of the Spack package manager (SC '15)",
@@ -1075,8 +1066,7 @@ def build_parser():
                      "the unified result is identical at any width",
             )
             p.add_argument(
-                "--concretizer", choices=("greedy", "backtracking", "solver"),
-                default=None,
+                "--concretizer", choices=tuple(CONCRETIZERS), default=None,
                 help="concretizer variant for every root "
                      "(default: the session's `concretizer:` config key)",
             )
@@ -1106,8 +1096,7 @@ def build_parser():
             p.add_argument("--port", type=int, required=True, metavar="N",
                            help="daemon port (printed by `serve`)")
             p.add_argument(
-                "--concretizer", choices=("greedy", "backtracking", "solver"),
-                default=None,
+                "--concretizer", choices=tuple(CONCRETIZERS), default=None,
                 help="concretizer variant for spack_spec/spack_install",
             )
             p.set_defaults(func=func)
@@ -1149,8 +1138,7 @@ def build_parser():
                      "twin's binaries; exact dag-hash entries only",
             )
             p.add_argument(
-                "--concretizer", choices=("greedy", "backtracking", "solver"),
-                default=None,
+                "--concretizer", choices=tuple(CONCRETIZERS), default=None,
                 help="concretizer variant for the install's concretization "
                      "(default: the session's `concretizer:` config key)",
             )
@@ -1178,15 +1166,10 @@ def build_parser():
             p.add_argument("--link", help="projection template for matched specs")
         if name == "spec":
             p.add_argument(
-                "--backtrack", action="store_true",
-                help="explore provider alternatives if greedy concretization fails",
-            )
-            p.add_argument(
-                "--concretizer", choices=("greedy", "backtracking", "solver"),
-                default=None,
-                help="concretizer variant: the paper's greedy pass, the §4.5 "
-                     "provider search, or the optimizing full-choice-space "
-                     "solver (default: the session's `concretizer:` config key)",
+                "--concretizer", choices=tuple(CONCRETIZERS), default=None,
+                help="concretizer variant: the paper's greedy pass or the "
+                     "optimizing full-choice-space solver (default: the "
+                     "session's `concretizer:` config key)",
             )
             p.add_argument(
                 "--trace", action="store_true",
@@ -1230,9 +1213,8 @@ def build_parser():
             )
             p.add_argument(
                 "--solver-cases", type=int, default=200, metavar="C",
-                help="generated requests for the three-way "
-                     "(greedy/backtracking/solver) oracle sweep over a "
-                     "conflict-rich universe",
+                help="generated requests for the greedy-vs-solver "
+                     "oracle sweep over a conflict-rich universe",
             )
             p.add_argument(
                 "--env-cases", type=int, default=25, metavar="E",

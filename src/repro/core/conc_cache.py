@@ -2,7 +2,7 @@
 
 Concretization is a pure function of four inputs: the abstract request,
 the package universe, the configuration/policy stack, and the algorithm
-variant (greedy or backtracking).  This module captures those inputs as
+variant (greedy or solver).  This module captures those inputs as
 digests and memoizes the output — the serialized concrete DAG — on
 disk, following Guix's insight (PAPERS.md: *Reproducible and
 User-Controlled Software Environments in HPC*) that derived results
@@ -87,12 +87,11 @@ def describe_package_class(cls):
 class EnvironmentDigest:
     """Digest of everything concretization depends on besides the spec.
 
-    The expensive part — walking every package class — is memoized on
-    cheap mutation tokens (:meth:`Repository.mutation_token`,
-    :meth:`Config.mutation_token`, the compiler registry contents), so
-    steady-state calls are a token comparison, while any package
-    registration, config update, or compiler change produces a new
-    digest and thereby invalidates every cache key automatically.
+    Walking every package class is the expensive part, so it runs once
+    per frozen state (:class:`~repro.service.snapshot.StateSnapshot`
+    computes its digest on first use); any package registration, config
+    update, or compiler change forks a new state with a new digest and
+    thereby invalidates every cache key automatically.
     """
 
     def __init__(self, repo, compilers, config, policy):
@@ -100,8 +99,6 @@ class EnvironmentDigest:
         self.compilers = compilers
         self.config = config
         self.policy = policy
-        self._token = None
-        self._digest = None
 
     def _compiler_fingerprint(self):
         return tuple(
@@ -114,16 +111,8 @@ class EnvironmentDigest:
         return "%s.%s" % (cls.__module__, cls.__qualname__)
 
     def current(self):
-        """The current environment digest (hex), recomputed only when a
-        mutation token changed."""
-        token = (
-            self.repo.mutation_token(),
-            self.config.mutation_token(),
-            self._compiler_fingerprint(),
-            self._policy_fingerprint(),
-        )
-        if token == self._token and self._digest is not None:
-            return self._digest
+        """The environment digest (hex) of the repo, config, compilers
+        and policy as they are now."""
         digest = hashlib.sha256()
         for name in self.repo.all_package_names():
             digest.update(name.encode())
@@ -133,9 +122,7 @@ class EnvironmentDigest:
         )
         digest.update(repr(self._compiler_fingerprint()).encode())
         digest.update(self._policy_fingerprint().encode())
-        self._token = token
-        self._digest = digest.hexdigest()
-        return self._digest
+        return digest.hexdigest()
 
 
 class ConcretizationCache:

@@ -86,15 +86,23 @@ class Concretizer:
     config : Config
     policy : DefaultPolicy, optional
         Site-customizable decision rules.
+    database : Database, optional
+        Installed specs, for concretizers that prefer reusing them
+        (:attr:`reuses_installed`); the greedy pass ignores it.
     """
 
+    #: whether the answer depends on ``database`` (what is installed);
+    #: the concretization cache then keys on the installed set too
+    reuses_installed = False
+
     def __init__(self, repo, provider_index, compilers, config, policy=None,
-                 trace=None, telemetry=None):
+                 trace=None, telemetry=None, database=None):
         self.repo = repo
         self.provider_index = provider_index
         self.compilers = compilers
         self.config = config
         self.policy = policy or DefaultPolicy(config)
+        self.database = database
         #: optional callback(event: dict) observing the Figure 6 pipeline
         self.trace = trace
         #: optional session Telemetry hub; pipeline stages become
@@ -470,7 +478,7 @@ class Concretizer:
 
         Edges accumulate with the default ``("build", "link")`` type
         during expansion — user ``^`` constraints, virtual-provider
-        swaps, and the backtracking solver's trial providers all create
+        swaps, and the solver's trial providers all create
         untyped edges.  Once the DAG has converged, each parent→child
         edge's types are exactly the union of the *active* declarations
         (``when=`` satisfied) naming the child directly or through a
@@ -554,7 +562,7 @@ class Concretizer:
                 pkg.validate_conflicts()
             except PackageError as e:
                 # a declared conflicts() hit is a *concretization* dead
-                # end — type it so the backtracking and solver searches
+                # end — type it so the solver's search
                 # (and the differential oracle) can treat it as one
                 raise ConflictError(str(e)) from e
 

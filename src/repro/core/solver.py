@@ -1,13 +1,14 @@
 """Optimizing solver concretization: full choice-space search.
 
-The greedy algorithm (§3.4) commits to the first policy choice and the
-backtracking search (§4.5) only re-enumerates *virtual provider*
-assignments.  Real Spack eventually replaced both with an optimizing
-ASP solver ("Using Answer Set Programming for HPC Dependency Solving",
-PAPERS.md) because dead ends also hide behind version pins, variant
-defaults, and compiler conflicts, and because "a" solution is not the
-same thing as the *best* solution.  :class:`SolverConcretizer` is that
-step in this codebase's model:
+The greedy algorithm (§3.4) commits to the first policy choice; §4.5
+leaves a search past its dead ends for future work, and a search over
+*virtual provider* assignments alone is the obvious first cut.  Real
+Spack eventually replaced both with one optimizing ASP solver ("Using
+Answer Set Programming for HPC Dependency Solving", PAPERS.md) because
+dead ends also hide behind version pins, variant defaults, and compiler
+conflicts, and because "a" solution is not the same thing as the *best*
+solution.  :class:`SolverConcretizer` is that step in this codebase's
+model:
 
 **Choice space.**  From the abstract request it statically derives the
 decision variables: one per reachable virtual interface (which
@@ -19,8 +20,8 @@ greedy concretization — so the search explores *deviations* from
 policy, most-preferred first.
 
 **Evaluation.**  Every assignment is complete: forced choices are merged
-into the abstract spec (the provider-injection technique the
-backtracking concretizer introduced, generalized to ``@version``,
+into the abstract spec (a forced provider becomes a ``^provider``
+dependency; versions, variants and compilers become ``@version``,
 ``+variant`` and ``%compiler`` constraints) and one greedy fixed-point
 pass fills in everything unforced.  One assignment = one attempt.
 
@@ -59,13 +60,13 @@ of exploring every deviation cheaper than the unavoidable cost.
     W_REUSE    * nodes NOT already installed        (minimal change)
 
 ``W_PROVIDER`` is deliberately far below ``W_STEP`` so the entire
-provider sub-space — exactly the space the backtracking concretizer
-enumerates — is searched before any single version/variant/compiler
-deviation: whatever backtracking rescues, the solver rescues within a
-comparable attempt budget, and then keeps going.  ``W_REUSE`` is far
-below everything else, so reuse of installed specs (the ``Database``
-handed in at construction) breaks ties among equally-preferred
-solutions without ever overriding an explicit preference.
+provider sub-space — the §4.5 hwloc case's space — is searched before
+any single version/variant/compiler deviation: a provider-only rescue
+costs a provider-only search's attempts, and the solver then keeps
+going.  ``W_REUSE`` is far below everything else, so reuse of installed
+specs (the ``Database`` handed in at construction) breaks ties among
+equally-preferred solutions without ever overriding an explicit
+preference.
 
 A consequence worth naming: the solver is hash-identical to greedy
 exactly when greedy's answer is *optimal* — the all-defaults
@@ -139,12 +140,12 @@ class _Variable:
 class SolverConcretizer(Concretizer):
     """Branch-and-bound CDCL-style search over the full choice space."""
 
-    def __init__(self, *args, max_attempts=256, database=None, **kwargs):
+    #: the reuse objective reads ``database`` (only its ``query()``)
+    reuses_installed = True
+
+    def __init__(self, *args, max_attempts=256, **kwargs):
         super().__init__(*args, **kwargs)
         self.max_attempts = max_attempts
-        #: installed-spec source for the reuse objective (a Database or
-        #: None); only ``query()`` is used
-        self.database = database
         #: introspection: the last concretize() call's search statistics
         self.last_attempts = 0
         self.last_nogoods = 0
@@ -345,7 +346,7 @@ class SolverConcretizer(Concretizer):
 
     def _choice_variables(self, abstract_spec):
         """Decision variables for one request, deterministically ordered:
-        providers first (cheap ranks — the backtracking sub-space), then
+        providers first (cheap ranks — the provider sub-space), then
         versions, variants, and compilers."""
         roots = [abstract_spec.name]
         roots.extend(sorted(abstract_spec.flat_dependencies()))

@@ -4,11 +4,12 @@ An environment is a manifest (``env.json``: the abstract roots, in the
 order they were added) plus a lockfile (``env.lock.json``: the unified
 concrete DAGs from the last ``concretize``).  The lockfile is keyed by
 an *environment key* — a digest over the root set, the concretizer
-variant, and the session's environment digest — so any change to the
-roots, the package universe, the configuration, or the algorithm makes
-the lock stale and the next concretize recomputes; an unchanged key is
-a warm hit that restores the unified result straight from disk (with
-the same hash-verification discipline the concretization cache uses).
+variant, and the environment digest of the session's current State —
+so any change to the roots, the package universe, the configuration, or
+the algorithm makes the lock stale and the next concretize recomputes;
+an unchanged key is a warm hit that restores the unified result
+straight from disk (with the same hash-verification discipline the
+concretization cache uses).
 
 The heavy lifting lives in :mod:`repro.env.unify`; this module is the
 durable state around it.
@@ -25,6 +26,27 @@ from repro.util.filesystem import mkdirp
 
 MANIFEST_NAME = "env.json"
 LOCK_NAME = "env.lock.json"
+
+
+def unify_on_state(session, state, roots, variant, name, jobs=None,
+                   use_cache=True):
+    """Unify ``roots`` with every per-root solve on one State (a
+    :class:`~repro.service.snapshot.StateSnapshot`), under an
+    ``env.concretize`` span named ``name``."""
+    if jobs is None:
+        jobs = session.install_jobs
+    with session.telemetry.span(
+        "env.concretize", environment=name, roots=len(roots), jobs=jobs,
+        variant=variant,
+    ):
+        return unify_roots(
+            roots,
+            lambda spec: state.concretize(
+                spec, variant, database=session.db, use_cache=use_cache
+            ),
+            jobs=jobs,
+            telemetry=session.telemetry,
+        )
 
 
 class EnvironmentStateError(ReproError):
@@ -96,12 +118,13 @@ class Environment:
         return True
 
     # -- the environment key -----------------------------------------------
-    def environment_key(self, session, variant):
+    def environment_key(self, state, variant):
         """Digest over the root *set*, the variant, and everything
-        per-root concretization depends on (the session's environment
-        digest) — the lockfile's validity key."""
+        per-root concretization depends on (the environment digest of
+        ``state``, a :class:`~repro.service.snapshot.StateSnapshot`) —
+        the lockfile's validity key."""
         digest = hashlib.sha256()
-        digest.update(session._env_digest.current().encode())
+        digest.update(state.env_digest.encode())
         digest.update(b"\n")
         digest.update(variant.encode())
         for text in sorted(self.roots):
@@ -111,36 +134,29 @@ class Environment:
 
     # -- concretization ----------------------------------------------------
     def concretize(self, session, jobs=None, concretizer=None,
-                   use_cache=None, force=False):
-        """Concretize every root *together* (see :mod:`repro.env.unify`).
+                   use_cache=True, force=False):
+        """Concretize every root *together* (see :mod:`repro.env.unify`)
+        against the session's current State, so every root resolves
+        under one package/config state.
 
         Warm path: an up-to-date lockfile (same environment key) is
         restored directly — every stored DAG is deserialized and its
         ``dag_hash`` re-verified, so a corrupted lock falls back to a
         fresh unification instead of lying.
         """
-        variant = session._concretizer_variant(concretizer, False)
-        env_key = self.environment_key(session, variant)
+        state = session.snapshots.current()
+        variant = state.variant(concretizer)
+        env_key = self.environment_key(state, variant)
         if not force:
             restored = self._restore_lock(env_key)
             if restored is not None:
                 session.telemetry.count("env.lock.hit")
                 return restored
         session.telemetry.count("env.lock.miss")
-        if jobs is None:
-            jobs = session.install_jobs
-        with session.telemetry.span(
-            "env.concretize", environment=self.name, roots=len(self.roots),
-            jobs=jobs, variant=variant,
-        ):
-            unified = unify_roots(
-                self.roots,
-                lambda spec: session.concretize(
-                    spec, concretizer=variant, use_cache=use_cache
-                ),
-                jobs=jobs,
-                telemetry=session.telemetry,
-            )
+        unified = unify_on_state(
+            session, state, self.roots, variant, self.name,
+            jobs=jobs, use_cache=use_cache,
+        )
         self._write_lock(env_key, variant, unified)
         return unified
 
@@ -205,7 +221,7 @@ class Environment:
         if lock is None:
             return "absent"
         if lock.get("environment_key") == self.environment_key(
-            session, lock.get("variant", variant)
+            session.snapshots.current(), lock.get("variant", variant)
         ) and [e.get("root") for e in lock.get("roots", [])] == self.roots:
             return "fresh"
         return "stale"

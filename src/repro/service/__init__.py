@@ -1,23 +1,37 @@
 """Service mode: a resident concretize/install/query daemon.
 
 See :mod:`repro.service.daemon` for the dispatcher,
-:mod:`repro.service.snapshot` for the snapshot-isolated read state, and
-:mod:`repro.service.transport` for the JSON-lines socket/stdio wire.
+:mod:`repro.service.snapshot` for the frozen State every concretization
+reads, and :mod:`repro.service.transport` for the JSON-lines
+socket/stdio wire.
+
+The names below load their modules on first use: every ``Session``
+imports :mod:`repro.service.snapshot`, and a session that never serves
+should not pay for the daemon, client and socket modules at start-up.
 """
 
-from repro.service.client import ServiceClient, ServiceClientError
-from repro.service.daemon import ENDPOINTS, ServiceDaemon, ServiceError
-from repro.service.snapshot import SnapshotManager, StateSnapshot
-from repro.service.transport import SocketTransport, StdioTransport
+import importlib
 
-__all__ = [
-    "ENDPOINTS",
-    "ServiceClient",
-    "ServiceClientError",
-    "ServiceDaemon",
-    "ServiceError",
-    "SnapshotManager",
-    "SocketTransport",
-    "StateSnapshot",
-    "StdioTransport",
-]
+#: exported name -> defining module
+_EXPORTS = {
+    "ENDPOINTS": "repro.service.daemon",
+    "ServiceClient": "repro.service.client",
+    "ServiceClientError": "repro.service.client",
+    "ServiceDaemon": "repro.service.daemon",
+    "ServiceError": "repro.service.daemon",
+    "SnapshotManager": "repro.service.snapshot",
+    "SocketTransport": "repro.service.transport",
+    "StateSnapshot": "repro.service.snapshot",
+    "StdioTransport": "repro.service.transport",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            "module %r has no attribute %r" % (__name__, name)
+        )
+    return getattr(importlib.import_module(module), name)

@@ -6,9 +6,9 @@ hpc-mcp tool surface (``spack_list`` / ``spack_info`` / ``spack_spec`` /
 over a bounded worker pool.  The moving parts:
 
 * **Snapshot isolation** — every request resolves against the
-  :class:`~repro.service.snapshot.StateSnapshot` current at dispatch
-  time; a mid-flight package/config mutation forks a new snapshot for
-  *later* requests and never disturbs in-flight ones.
+  session's :class:`~repro.service.snapshot.StateSnapshot` current at
+  dispatch time; a mid-flight package/config mutation forks a new
+  snapshot for *later* requests and never disturbs in-flight ones.
 * **Request batching** — a thundering herd of requests for the same
   (spec, digest, variant) cache key concretizes **once**: the first
   requester becomes the leader, followers park on an event and share the
@@ -30,8 +30,8 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+from repro.core import UnknownConcretizerError
 from repro.errors import ReproError
-from repro.service.snapshot import SnapshotManager
 
 #: default dispatcher width (requests resolved concurrently)
 DEFAULT_WORKERS = 4
@@ -72,7 +72,8 @@ class ServiceDaemon:
 
     def __init__(self, session, workers=DEFAULT_WORKERS):
         self.session = session
-        self.snapshots = SnapshotManager(session)
+        #: the session's State manager; every endpoint reads its current()
+        self.snapshots = session.snapshots
         self.workers = max(1, int(workers))
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-service"
@@ -117,7 +118,7 @@ class ServiceDaemon:
         ):
             try:
                 result = getattr(self, "_ep_%s" % endpoint)(**params)
-            except TypeError as e:
+            except (TypeError, UnknownConcretizerError) as e:
                 # surface bad params as a service error, not a crash
                 self._count_error()
                 raise ServiceError(
@@ -142,15 +143,12 @@ class ServiceDaemon:
     # -- batched concretization --------------------------------------------
     def _concretize(self, snapshot, spec_text, variant):
         """Concretize on a snapshot, coalescing identical in-flight
-        requests onto one computation."""
-        from repro.core.conc_cache import ConcretizationCache
+        requests (one snapshot cache key) onto one computation."""
         from repro.spec.spec import Spec
 
         spec = Spec(spec_text)
-        database = self.session.db if variant == "solver" else None
-        key = ConcretizationCache.make_key(
-            str(spec), snapshot.cache_digest(variant, database), variant
-        )
+        database = self.session.db
+        key = snapshot.cache_key(spec, variant, database)
         with self._batch_lock:
             batch = self._inflight.get(key)
             leader = batch is None
@@ -178,18 +176,6 @@ class ServiceDaemon:
             raise batch.error
         return batch.result.copy()
 
-    def _variant(self, concretizer):
-        session = self.session
-        variant = concretizer or session.config.get(
-            "concretizer", default="greedy"
-        )
-        if variant not in session.CONCRETIZER_VARIANTS:
-            raise ServiceError(
-                "Unknown concretizer %r (expected one of: %s)"
-                % (variant, ", ".join(session.CONCRETIZER_VARIANTS))
-            )
-        return variant
-
     # -- endpoints ---------------------------------------------------------
     def _ep_spack_list(self, query=None):
         snapshot = self.snapshots.current()
@@ -205,7 +191,7 @@ class ServiceDaemon:
 
     def _ep_spack_spec(self, spec, concretizer=None):
         snapshot = self.snapshots.current()
-        variant = self._variant(concretizer)
+        variant = snapshot.variant(concretizer)
         concrete = self._concretize(snapshot, spec, variant)
         return {
             "spec": str(concrete),
@@ -224,7 +210,9 @@ class ServiceDaemon:
     def _ep_spack_install(self, spec, concretizer=None, jobs=None,
                           use_cache=None, use_splice=None):
         snapshot = self.snapshots.current()
-        concrete = self._concretize(snapshot, spec, self._variant(concretizer))
+        concrete = self._concretize(
+            snapshot, spec, snapshot.variant(concretizer)
+        )
         result = self.session.installer.install(
             concrete, jobs=jobs, use_cache=use_cache, use_splice=use_splice
         )
@@ -255,7 +243,7 @@ class ServiceDaemon:
                 "spack_env needs a non-empty `roots` list of abstract specs"
             )
         snapshot = self.snapshots.current()
-        variant = self._variant(concretizer)
+        variant = snapshot.variant(concretizer)
         jobs = max(1, int(jobs or 1))
         unified = unify_roots(
             [str(r) for r in roots],

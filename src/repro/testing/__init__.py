@@ -22,8 +22,8 @@ CLI:
   (fully concrete, constraints satisfied, idempotent, parse/print and
   dict round-trips, stable DAG hash).
 * :mod:`~repro.testing.oracle` — a differential oracle comparing the
-  greedy concretizer against the backtracking one on every generated
-  case, with a spec minimizer for divergences.
+  greedy concretizer against the solver on every generated case, with
+  a spec minimizer for divergences.
 * :mod:`~repro.testing.campaign` — the seeded campaign runner behind
   ``repro-spack selftest``, reporting as JSONL.
 """

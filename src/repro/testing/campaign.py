@@ -5,8 +5,8 @@ A campaign has six phases, all driven entirely by one master seed:
 1. **Concretization sweep** — generate a package universe
    (:class:`~repro.testing.generators.RepoGenerator`) and N abstract
    requests over it, run every request through the differential oracle
-   (greedy vs. backtracking), and check the full invariant battery on
-   each successful result.
+   (greedy vs. solver), and check the full invariant battery on each
+   successful result.
 2. **Fault sweep** — generate M fault plans
    (:meth:`~repro.testing.faults.FaultPlan.generate`), and for each one
    build a fresh session, arm the plan, install a small real stack,
@@ -17,10 +17,10 @@ A campaign has six phases, all driven entirely by one master seed:
 3. **Cache-equivalence sweep** — generate K more abstract requests and
    concretize each one cold (cache bypassed) and warm (served from the
    persistent concretization cache's on-disk payload), for both the
-   greedy and backtracking variants.  Warm results must be
-   *byte-identical* to cold ones — same ``dag_hash``, same serialized
-   node dicts — including under an armed ``concretize.cache.corrupt``
-   fault, where the cache must detect the rot and fall back to a cold
+   greedy and solver variants.  Warm results must be *byte-identical*
+   to cold ones — same ``dag_hash``, same serialized node dicts —
+   including under an armed ``concretize.cache.corrupt`` fault, where
+   the cache must detect the rot and fall back to a cold
    concretization.
 4. **Splice-equivalence sweep** — install a DAG whose build-only tool
    changed twice: once served by *splicing* runtime-hash twins out of a
@@ -33,10 +33,10 @@ A campaign has six phases, all driven entirely by one master seed:
 5. **Solver sweep** — generate a *conflict-rich* universe (the
    generator's ``conflict_density``/``when_depth``/``provider_overlap``
    knobs turned up, so greedy dead-ends on a meaningful fraction of
-   requests) and run every request through the *three-way* oracle:
-   greedy vs. backtracking vs. the optimizing solver.  Solver successes
-   are re-checked against the concretization invariant battery, and
-   every tenth case re-concretizes through a Session with an armed
+   requests) and run every request through the oracle: greedy vs.
+   the optimizing solver.  Solver successes are re-checked against the
+   concretization invariant battery, and every tenth case
+   re-concretizes through a Session with an armed
    ``concretize.cache.corrupt`` fault — the corrupted-cache fallback
    must reproduce the oracle's answer byte-for-byte.  Rescues and
    ``improvement`` outcomes (the solver strictly beating a greedy
@@ -83,7 +83,7 @@ class CampaignConfig:
     """Knobs for one campaign run; everything defaults sensibly."""
 
     def __init__(self, seed=None, specs=200, fault_plans=50, packages=40,
-                 virtuals=2, max_attempts=64, fault_target="libdwarf",
+                 virtuals=2, max_attempts=512, fault_target="libdwarf",
                  points=ALL_FAULT_POINTS, cache_specs=200, splice_cases=6,
                  solver_cases=200, env_cases=25):
         self.seed = session_seed() if seed is None else int(seed)
@@ -91,6 +91,7 @@ class CampaignConfig:
         self.fault_plans = int(fault_plans)
         self.packages = int(packages)
         self.virtuals = int(virtuals)
+        #: the oracle solver's attempt budget (phases 1 and 5)
         self.max_attempts = int(max_attempts)
         #: the builtin-corpus spec each fault plan installs
         self.fault_target = fault_target
@@ -99,7 +100,7 @@ class CampaignConfig:
         self.cache_specs = int(cache_specs)
         #: spliced-vs-built store comparisons (phase 4)
         self.splice_cases = int(splice_cases)
-        #: three-way oracle cases over the conflict-rich universe (phase 5)
+        #: oracle cases over the conflict-rich universe (phase 5)
         self.solver_cases = int(solver_cases)
         #: environment unification cases (phase 6)
         self.env_cases = int(env_cases)
@@ -134,7 +135,7 @@ class CampaignReport:
         self.cache_cases = []
         #: one dict per spliced-vs-built store comparison
         self.splice_cases = []
-        #: one dict per three-way solver-sweep case
+        #: one dict per solver-sweep case
         self.solver_cases = []
         #: one dict per environment-unification case
         self.env_cases = []
@@ -187,7 +188,7 @@ class CampaignReport:
         return [c for c in self.solver_cases if c["kind"] == "rescue"]
 
     def solver_divergences(self):
-        """Three-way cases where something is wrong: mismatched hashes,
+        """Solver-sweep cases where something is wrong: mismatched hashes,
         a suboptimal solver answer, an invariant violation on a solver
         success, or a corrupted-cache re-concretization that did not
         reproduce the oracle's answer."""
@@ -336,8 +337,6 @@ def run_oracle_phase(config, report, log=None):
                 request, concrete, repo, provider_index, oracle.greedy
             )
         elif comparison.kind == RESCUE:
-            # the solver always holds the rescue (backtracking may have
-            # failed too — its provider-only space is a strict subset)
             concrete = oracle.solver.concretize(Spec(request))
             violations = check_concretization(
                 request, concrete, repo, provider_index
@@ -348,8 +347,8 @@ def run_oracle_phase(config, report, log=None):
                 "request": request,
                 "kind": comparison.kind,
                 "greedy_error": comparison.greedy_error,
-                "backtracking_error": comparison.backtracking_error,
-                "attempts": comparison.attempts,
+                "solver_error": comparison.solver_error,
+                "solver_attempts": comparison.solver_attempts,
                 "minimized": comparison.minimized,
                 "violations": violations,
             }
@@ -573,12 +572,11 @@ def run_cache_phase(config, report, workdir, log=None):
     generator = SpecGenerator(derive_seed(config.seed, "cache-specs"), repo)
     for i in range(config.cache_specs):
         request = generator.spec(i)
-        for backtrack in (False, True):
-            variant = "backtracking" if backtrack else "greedy"
+        for variant in ("greedy", "solver"):
             with_fault = i % 10 == 0
             try:
                 cold = session.concretize(
-                    Spec(request), backtrack=backtrack, use_cache=False
+                    Spec(request), concretizer=variant, use_cache=False
                 )
             except ReproError as e:
                 report.cache_cases.append({
@@ -590,12 +588,12 @@ def run_cache_phase(config, report, workdir, log=None):
             # First warm call persists the entry; forgetting the
             # in-process memo forces the second one through the on-disk
             # payload — the serialization round-trip under test.
-            session.concretize(Spec(request), backtrack=backtrack)
+            session.concretize(Spec(request), concretizer=variant)
             session.forget_concretizations()
             if with_fault:
                 session.faults.arm([Fault(CONCRETIZE_CACHE_CORRUPT)])
             try:
-                warm = session.concretize(Spec(request), backtrack=backtrack)
+                warm = session.concretize(Spec(request), concretizer=variant)
             finally:
                 if with_fault:
                     session.faults.disarm()
@@ -741,7 +739,7 @@ def run_splice_phase(config, report, workdir, log=None):
     return report
 
 
-# -- phase 5: three-way solver sweep ------------------------------------------
+# -- phase 5: solver sweep ----------------------------------------------------
 
 def _solver_fixture(config):
     """Like :func:`_oracle_fixture` but conflict-rich: the generator's
@@ -777,10 +775,10 @@ def _solver_fixture(config):
 
 
 def run_solver_phase(config, report, workdir, log=None):
-    """Three-way differential sweep over the conflict-rich universe.
+    """Greedy-vs-solver differential sweep over the conflict-rich
+    universe.
 
-    Every case goes through the full greedy/backtracking/solver oracle;
-    solver successes are re-checked against the concretization
+    Every case goes through the oracle; solver successes are re-checked against the concretization
     invariants.  Every tenth case additionally re-concretizes through a
     Session whose on-disk concretization cache is corrupted by an armed
     ``concretize.cache.corrupt`` fault — the fallback must both fire
@@ -845,7 +843,6 @@ def run_solver_phase(config, report, workdir, log=None):
                 "request": request,
                 "kind": comparison.kind,
                 "greedy_error": comparison.greedy_error,
-                "backtracking_error": comparison.backtracking_error,
                 "solver_error": comparison.solver_error,
                 "solver_attempts": comparison.solver_attempts,
                 "solver_score": comparison.solver_score,

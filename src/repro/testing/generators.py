@@ -84,8 +84,8 @@ class RepoGenerator:
       concrete DAG is acyclic by construction;
     * virtual providers are leaves, so provider substitution can never
       introduce a cycle;
-    * every virtual has at least two providers, so the backtracking
-      concretizer always has a real choice point to explore.
+    * every virtual has at least two providers, so the solver always
+      has a real provider choice point to explore.
 
     Three *conflict knobs* turn a benign universe into one that forces
     real search (all default to off, and their draws come from seeds
@@ -218,8 +218,8 @@ class RepoGenerator:
     def _add_solver_dead_ends(self, repo):
         """Packages whose policy-*default* choice hits a declared
         ``conflicts()``: only a variant flip, version deviation, or
-        compiler change rescues them — greedy and the provider-only
-        backtracker both fail, the optimizing solver succeeds."""
+        compiler change rescues them — greedy and any provider-only
+        search fail, the optimizing solver succeeds."""
         rng = self._knob_rng("dead-ends")
         n = max(1, int(round(self.conflict_density * self.count / 5.0)))
         for i in range(n):
@@ -331,20 +331,17 @@ class RepoGenerator:
 
 class DeadEndScenario:
     """One known greedy-dead-end universe: a tiny repo, the request that
-    kills the greedy concretizer, which searcher is expected to rescue
-    it (``"backtracking"`` — provider re-enumeration suffices — or
-    ``"solver"`` — a version/variant/compiler deviation is required),
-    and config preference overrides the scenario assumes."""
+    kills the greedy concretizer (and that the solver rescues), and
+    config preference overrides the scenario assumes."""
 
-    def __init__(self, label, repo, request, rescuer, config=None):
+    def __init__(self, label, repo, request, config=None):
         self.label = label
         self.repo = repo
         self.request = request
-        self.rescuer = rescuer
         self.config = config or {}
 
     def __repr__(self):
-        return "DeadEndScenario(%r, rescuer=%r)" % (self.label, self.rescuer)
+        return "DeadEndScenario(%r)" % self.label
 
 
 def greedy_dead_end_corpus():
@@ -352,8 +349,11 @@ def greedy_dead_end_corpus():
 
     Deterministic — no randomness at all — so the corpus doubles as a
     regression suite: every scenario's greedy run must fail with a
-    typed error, and the named rescuer must succeed.  Scenarios assume
-    the :data:`GEN_COMPILERS` registry and gcc-first compiler order.
+    typed error, and the solver must rescue it.  The first two need
+    only a provider deviation (§4.5's hwloc case and a coupled pair);
+    the rest need a version, variant or compiler deviation.  Scenarios
+    assume the :data:`GEN_COMPILERS` registry and gcc-first compiler
+    order.
     """
     scenarios = []
 
@@ -367,7 +367,7 @@ def greedy_dead_end_corpus():
     repo.add_class("app", _make_package(
         "app", ["1.0"], [("hwloc", "@1.9", None), ("mpi2", "", None)]))
     scenarios.append(DeadEndScenario(
-        "hwloc-version-pin", repo, "app", "backtracking",
+        "hwloc-version-pin", repo, "app",
         config={"preferences": {"providers": {"mpi2": ["ampi", "bmpi"]}}},
     ))
 
@@ -383,7 +383,7 @@ def greedy_dead_end_corpus():
         "pairapp", ["1.0"],
         [("vinta", "", None), ("vintb", "", None), ("libx", "@2", None)]))
     scenarios.append(DeadEndScenario(
-        "provider-pair", repo, "pairapp", "backtracking",
+        "provider-pair", repo, "pairapp",
         config={"preferences": {"providers": {"vinta": ["a1", "a2"],
                                               "vintb": ["b1", "b2"]}}},
     ))
@@ -392,23 +392,20 @@ def greedy_dead_end_corpus():
     repo = Repository(namespace="deadend.compiler")
     repo.add_class("nogcc", _make_package(
         "nogcc", ["1.0"], [], conflict_decls=["%gcc"]))
-    scenarios.append(DeadEndScenario(
-        "compiler-conflict", repo, "nogcc", "solver"))
+    scenarios.append(DeadEndScenario("compiler-conflict", repo, "nogcc"))
 
     # 4. Default variant conflicts: only a flip rescues.
     repo = Repository(namespace="deadend.variant")
     repo.add_class("noshared", _make_package(
         "noshared", ["1.0"], [], variants=("shared",),
         conflict_decls=["+shared"]))
-    scenarios.append(DeadEndScenario(
-        "variant-conflict", repo, "noshared", "solver"))
+    scenarios.append(DeadEndScenario("variant-conflict", repo, "noshared"))
 
     # 5. Preferred version conflicts: only an older pick rescues.
     repo = Repository(namespace="deadend.version")
     repo.add_class("nonewest", _make_package(
         "nonewest", ["1.0", "2.0"], [], conflict_decls=["@2.0"]))
-    scenarios.append(DeadEndScenario(
-        "version-conflict", repo, "nonewest", "solver"))
+    scenarios.append(DeadEndScenario("version-conflict", repo, "nonewest"))
 
     # 6. A when= chain ending at an impossible pin: deviating the chain
     # head's version to 1.x prunes the poisoned tail.
@@ -418,7 +415,7 @@ def greedy_dead_end_corpus():
         "tail", ["1.0"], [("pin", "@1:2", None)]))
     repo.add_class("head", _make_package(
         "head", ["1.5", "2.5"], [("tail", "", "@2:")]))
-    scenarios.append(DeadEndScenario("deep-chain", repo, "head", "solver"))
+    scenarios.append(DeadEndScenario("deep-chain", repo, "head"))
 
     return scenarios
 

@@ -1,55 +1,51 @@
-"""Differential oracle: greedy vs. backtracking vs. solver concretization.
+"""Differential oracle: greedy vs. solver concretization.
 
-The three concretizers implement the same contract by different
+The two concretizers implement the same contract by different
 strategies, which makes them oracles for each other (the technique
 ASP-based solvers later formalized: divergence between implementations
 is evidence of a bug even when neither answer is obviously wrong).
 The solver adds a second axis: it *scores* every answer, so the oracle
-can also catch a solution that is consistent but suboptimal.
+can also catch a solution that is consistent but suboptimal.  The
+independent check of the solver's optimality itself is the
+exhaustive enumeration in ``tests/core/test_solver.py``.
 
 Outcome classification for one abstract request:
 
 ``agree-success``
-    All three succeed with the *same DAG hash*.  The common case: both
-    searches run the greedy pass as their zero-deviation baseline, so
-    whenever greedy's answer is optimal all three are byte-identical.
+    Both succeed with the *same DAG hash*.  The common case: the
+    solver's zero-deviation baseline is the greedy pass, so whenever
+    greedy's answer is optimal the two are byte-identical.
 ``improvement``
-    Greedy succeeded but the solver returned a *strictly
-    better-scoring* DAG (the backtracking search, whose zeroth attempt
-    is greedy's, must still reproduce greedy exactly).  Benign and
-    expected on conflict-rich universes: greedy's myopic provider pick
-    can drag in a version pin a cheap provider deviation avoids — the
-    reason real Spack moved to an optimizing solver.  A solver hash
-    mismatch *without* a strictly better score stays a divergence:
-    same-score different-hash is nondeterminism, worse-score is an
-    optimality bug.
+    Greedy succeeded but the solver returned a *strictly better-scoring*
+    DAG.  Benign and expected on conflict-rich universes: greedy's
+    myopic provider pick can drag in a version pin a cheap provider
+    deviation avoids — the reason real Spack moved to an optimizing
+    solver.  A solver hash mismatch *without* a strictly better score
+    stays a divergence: same-score different-hash is nondeterminism,
+    worse-score is an optimality bug.
 ``rescue``
-    Greedy fails and the solver finds a solution (the backtracking
-    search may rescue too — the provider-only subspace — or may not:
-    the solver also explores version/variant/compiler deviations, and
-    a backtracking failure on a solver-rescued request is benign).
-    Campaigns count rescues but do not flag them.
+    Greedy fails and the solver finds a solution (§4.5's dead ends,
+    past provider, version, variant or compiler choices).  Campaigns
+    count rescues but do not flag them.
 ``agree-error``
-    All three fail with typed errors.  Benign: the error *types* may
-    differ (greedy reports the first contradiction, the searches report
+    Both fail with typed errors.  Benign: the error *types* may differ
+    (greedy reports the first contradiction, the solver reports
     exhaustion) and that difference is allowlisted; what matters is
-    that none invented a solution the others prove impossible.
+    that neither invented a solution the other proves impossible.
 ``optimality-divergence``
-    The solver succeeded, but another variant found a *strictly
-    better-scoring* DAG under the solver's own objective.  Always a
-    bug: the solver's whole contract is that its first answer is the
-    best-scoring consistent one.
+    The solver succeeded, but greedy found a *strictly better-scoring*
+    DAG under the solver's own objective.  Always a bug: the solver's
+    whole contract is that its first answer is the best-scoring
+    consistent one.
 ``divergence``
-    Anything else — successes with mismatched hashes, or a more general
-    strategy failing where a less general one succeeded (greedy ok but
-    a search failed; backtracking ok but the solver failed).  Always a
-    bug; the oracle attaches a minimized reproducer.
+    Anything else — successes with mismatched hashes, or the solver
+    failing where greedy succeeded (its space contains greedy's answer).
+    Always a bug; the oracle attaches a minimized reproducer.
 """
 
 import re
 
 from repro.compilers.registry import CompilerError
-from repro.core.backtracking import BacktrackingConcretizer
 from repro.core.concretizer import ConcretizationError, Concretizer
 from repro.core.solver import SolverConcretizer
 from repro.spec.errors import SpecError
@@ -84,26 +80,21 @@ _COMPONENT = re.compile(
 class Comparison:
     """The oracle's verdict on one request."""
 
-    def __init__(self, request, kind, greedy_hash=None, backtracking_hash=None,
-                 greedy_error=None, backtracking_error=None, attempts=1,
+    def __init__(self, request, kind, greedy_hash=None, greedy_error=None,
                  minimized=None, solver_hash=None, solver_error=None,
                  solver_attempts=0, solver_score=None, best_score=None):
         self.request = request
         self.kind = kind
         self.greedy_hash = greedy_hash
-        self.backtracking_hash = backtracking_hash
         self.solver_hash = solver_hash
         #: error *type name*, kept as a string so reports stay JSON-able
         self.greedy_error = greedy_error
-        self.backtracking_error = backtracking_error
         self.solver_error = solver_error
-        #: greedy passes the backtracking search consumed
-        self.attempts = attempts
         #: assignments the solver search evaluated
         self.solver_attempts = solver_attempts
         #: objective value of the solver's DAG (None when it failed)
         self.solver_score = solver_score
-        #: best objective any variant achieved (None when all failed)
+        #: best objective either variant achieved (None when both failed)
         self.best_score = best_score
         #: smallest request string that still diverges (divergences only)
         self.minimized = minimized
@@ -117,12 +108,9 @@ class Comparison:
             "request": self.request,
             "kind": self.kind,
             "greedy_hash": self.greedy_hash,
-            "backtracking_hash": self.backtracking_hash,
             "solver_hash": self.solver_hash,
             "greedy_error": self.greedy_error,
-            "backtracking_error": self.backtracking_error,
             "solver_error": self.solver_error,
-            "attempts": self.attempts,
             "solver_attempts": self.solver_attempts,
             "solver_score": self.solver_score,
             "best_score": self.best_score,
@@ -134,24 +122,18 @@ class Comparison:
 
 
 class DifferentialOracle:
-    """Runs all three concretizers on requests and classifies outcomes."""
+    """Runs greedy and the solver on requests and classifies outcomes.
+
+    ``max_attempts`` is the solver's attempt budget.
+    """
 
     def __init__(self, repo, provider_index, compilers, config, policy=None,
-                 max_attempts=256, solver_max_attempts=None):
+                 max_attempts=2048):
         self.greedy = Concretizer(repo, provider_index, compilers, config,
                                   policy=policy)
-        self.backtracking = BacktrackingConcretizer(
-            repo, provider_index, compilers, config, policy=policy,
-            max_attempts=max_attempts,
-        )
-        # the solver's space is a superset of the provider space, so its
-        # default budget is a multiple of the backtracking one: whatever
-        # backtracking can rescue must stay within the solver's reach
-        if solver_max_attempts is None:
-            solver_max_attempts = max_attempts * 8
         self.solver = SolverConcretizer(
             repo, provider_index, compilers, config, policy=policy,
-            max_attempts=solver_max_attempts,
+            max_attempts=max_attempts,
         )
 
     # -- running one side ---------------------------------------------------
@@ -171,67 +153,46 @@ class DifferentialOracle:
         """Classify one request; see the module docstring for the kinds."""
         request = str(request)
         g_hash, g_spec, g_err = self._run(self.greedy, request)
-        b_hash, b_spec, b_err = self._run(self.backtracking, request)
-        attempts = self.backtracking.last_attempts
         s_hash, s_spec, s_err = self._run(self.solver, request)
         solver_attempts = self.solver.last_attempts
 
         # score every success on the solver's objective scale
         s_score = self.solver.score(s_spec) if s_spec is not None else None
         g_score = self.solver.score(g_spec) if g_spec is not None else None
-        b_score = self.solver.score(b_spec) if b_spec is not None else None
-        alt_scores = [a for a in (g_score, b_score) if a is not None]
-        scores = alt_scores + ([s_score] if s_score is not None else [])
+        scores = [x for x in (g_score, s_score) if x is not None]
         best_score = min(scores) if scores else None
 
-        kind = self._classify(
-            g_hash, b_hash, s_hash, g_score, s_score, alt_scores
-        )
+        kind = self._classify(g_hash, s_hash, g_score, s_score)
 
         minimized = None
         if kind in (DIVERGENCE, OPTIMALITY_DIVERGENCE) and minimize:
             minimized = self.minimize(request)
         return Comparison(
             request, kind,
-            greedy_hash=g_hash, backtracking_hash=b_hash, solver_hash=s_hash,
-            greedy_error=g_err, backtracking_error=b_err, solver_error=s_err,
-            attempts=attempts, solver_attempts=solver_attempts,
+            greedy_hash=g_hash, solver_hash=s_hash,
+            greedy_error=g_err, solver_error=s_err,
+            solver_attempts=solver_attempts,
             solver_score=s_score, best_score=best_score, minimized=minimized,
         )
 
     @staticmethod
-    def _classify(g_hash, b_hash, s_hash, g_score, s_score, alt_scores):
-        # a consistent solution exists but the solver's is worse (or
-        # missing): the optimization contract is broken
-        if s_score is not None and any(a < s_score for a in alt_scores):
+    def _classify(g_hash, s_hash, g_score, s_score):
+        # greedy's consistent solution beats the solver's: the
+        # optimization contract is broken
+        if s_score is not None and g_score is not None and g_score < s_score:
             return OPTIMALITY_DIVERGENCE
         if g_hash is not None:
-            if b_hash != g_hash:
-                # backtracking's zeroth attempt IS the greedy pass: any
-                # mismatch on a greedy success is a real bug
-                return DIVERGENCE
             if s_hash == g_hash:
                 return AGREE_SUCCESS
-            if (
-                s_hash is not None
-                and s_score is not None
-                and g_score is not None
-                and s_score < g_score
-            ):
+            if s_hash is not None and s_score < g_score:
                 # the solver beat greedy on its own objective — the
                 # optimization working as designed, not a bug
                 return IMPROVEMENT
-            # different hash without a strictly better score: either
-            # nondeterminism (same score) or a lost solution
+            # a different hash without a strictly better score is
+            # nondeterminism (same score); no hash is a lost solution
             return DIVERGENCE
         if s_hash is not None:
-            # greedy failed, solver rescued; backtracking may or may not
-            # (its provider-only space is a strict subset)
             return RESCUE
-        if b_hash is not None:
-            # the solver's space subsumes backtracking's: failing where
-            # the weaker search succeeded is a bug
-            return DIVERGENCE
         return AGREE_ERROR
 
     # -- reproducer minimization -------------------------------------------

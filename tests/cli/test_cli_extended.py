@@ -1,5 +1,5 @@
-"""CLI tests for the extension commands: info, checksum, lmod, --backtrack,
-and auto-generated modules."""
+"""CLI tests for the extension commands: info, checksum, lmod,
+--concretizer, and auto-generated modules."""
 
 import os
 
@@ -44,6 +44,40 @@ class TestInfo:
         code, _, err = run(capsys, "--root", root, "info", "nope")
         assert code == 1 and "Error" in err
 
+    def test_spack_info_carries_the_printed_compiler_requirements(
+        self, root, capsys, monkeypatch
+    ):
+        """``info`` formats what ``spack_info`` serves, compiler
+        requirements included."""
+        import importlib
+
+        from repro.directives import requires_compiler, variant, version
+        from repro.package.package import Package
+        from repro.service import ServiceDaemon
+        from repro.session import Session
+
+        session = Session.create(root)
+
+        @session.repo.repos[0].register("needscxx")
+        class Needscxx(Package):
+            version("1.0", "x")
+            variant("openmp", default=False)
+            requires_compiler("cxx@14:")
+            requires_compiler("openmp@4:", when="+openmp")
+
+        cli = importlib.import_module("repro.cli.main")
+        monkeypatch.setattr(cli, "_session", lambda args: session)
+        code, out, _ = run(capsys, "--root", root, "info", "needscxx")
+        assert code == 0
+        printed = out.split("Compiler requirements:\n")[1].splitlines()
+        assert printed == ["    cxx@14:", "    openmp@4:  when +openmp"]
+        with ServiceDaemon(session, workers=1) as daemon:
+            info = daemon.call("spack_info", {"package": "needscxx"})
+        assert info["compiler_requirements"] == [
+            {"feature": "cxx@14:", "when": None},
+            {"feature": "openmp@4:", "when": "+openmp"},
+        ]
+
 
 class TestChecksum:
     def test_checksums_scraped_and_computed(self, root, capsys):
@@ -65,9 +99,11 @@ class TestLmodCommand:
         assert "Core" in out and "mvapich2" in out
 
 
-class TestBacktrackFlag:
-    def test_spec_backtrack_flag(self, root, capsys):
-        code, out, _ = run(capsys, "--root", root, "spec", "--backtrack", "mpileaks")
+class TestConcretizerFlag:
+    def test_spec_solver_flag(self, root, capsys):
+        code, out, _ = run(
+            capsys, "--root", root, "spec", "--concretizer", "solver", "mpileaks"
+        )
         assert code == 0
         assert "Concretized" in out
 

@@ -7,11 +7,7 @@ import threading
 
 import pytest
 
-from repro.core.conc_cache import (
-    ConcretizationCache,
-    EnvironmentDigest,
-    describe_package_class,
-)
+from repro.core.conc_cache import ConcretizationCache, describe_package_class
 from repro.session import Session
 from repro.spec.spec import Spec
 from repro.telemetry import Telemetry
@@ -75,9 +71,22 @@ class TestSessionCaching:
 
     def test_variants_key_separately(self, tsession, hub):
         tsession.concretize("mpileaks")
-        tsession.concretize("mpileaks", backtrack=True)
+        tsession.concretize("mpileaks", concretizer="solver")
         # different concretizer variant: its own key, so a miss
         assert hub.counter("concretize.cache.miss") == 2
+
+    def test_variant_switches_keep_both_entries(self, tsession, hub):
+        """Regression: the Session memo kept one last-seen digest for
+        greedy keys (environment digest) and solver keys (plus the
+        installed set), so every switch between the variants wiped it
+        and counted an invalidation — five alternations counted 11 and
+        the memo never held more than one entry."""
+        for _ in range(5):
+            tsession.concretize("libelf")
+            tsession.concretize("zlib", concretizer="solver")
+        assert hub.counter("concretize.cache.invalidate") == 0
+        assert hub.counter("concretize.cache.miss") == 2
+        assert len(tsession.snapshots.current()._memo) == 2
 
     def test_disabled_by_config(self, tmp_path):
         session = Session.create(
@@ -116,11 +125,12 @@ class TestDigestInvalidation:
         assert hub.counter("concretize.cache.invalidate") >= 1
 
     def test_digest_is_memoized_on_tokens(self, tsession):
-        digest = tsession._env_digest
-        first = digest.current()
-        assert digest.current() == first  # token unchanged: cached
+        state = tsession.snapshots.current()
+        first = state.env_digest
+        # tokens unchanged: the same State, whose digest is computed once
+        assert tsession.snapshots.current() is state
         tsession.config.update("user", {"packages": {"zlib": {"buildable": False}}})
-        assert digest.current() != first
+        assert tsession.snapshots.current().env_digest != first
 
     def test_describe_covers_checksums(self, tsession):
         import types
@@ -186,7 +196,7 @@ class TestCacheMechanics:
         key = ConcretizationCache.make_key("mpileaks", "e" * 64, "greedy")
         assert key == ConcretizationCache.make_key("mpileaks", "e" * 64, "greedy")
         assert key != ConcretizationCache.make_key("mpileaks", "f" * 64, "greedy")
-        assert key != ConcretizationCache.make_key("mpileaks", "e" * 64, "backtracking")
+        assert key != ConcretizationCache.make_key("mpileaks", "e" * 64, "solver")
         assert key != ConcretizationCache.make_key("mpileaks@2", "e" * 64, "greedy")
 
     def test_index_merge_preserves_concurrent_writers(self, tmp_path):

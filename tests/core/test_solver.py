@@ -15,7 +15,6 @@ import pytest
 
 from repro.compilers.registry import Compiler, CompilerRegistry
 from repro.config.config import Config
-from repro.core.backtracking import BacktrackingConcretizer
 from repro.core.concretizer import ConcretizationError, Concretizer
 from repro.core.solver import (
     W_CDEP,
@@ -52,11 +51,7 @@ def _stack(repo, extra_config=None, compilers=SMALL_COMPILERS, **solver_kwargs):
     if extra_config:
         config.update("user", extra_config)
     args = (repo, index, registry, config)
-    return (
-        Concretizer(*args),
-        BacktrackingConcretizer(*args),
-        SolverConcretizer(*args, **solver_kwargs),
-    )
+    return Concretizer(*args), SolverConcretizer(*args, **solver_kwargs)
 
 
 def _enumerate_consistent(solver, request):
@@ -94,7 +89,7 @@ class TestGreedyIdentity:
 
     def test_single_attempt_and_proof_when_greedy_works(self):
         repo = RepoGenerator(21, count=12, virtuals=2).build()
-        greedy, _, solver = _stack(repo)
+        greedy, solver = _stack(repo)
         for name in repo.all_package_names():
             g = greedy.concretize(name)
             s = solver.concretize(name)
@@ -111,8 +106,8 @@ class TestRescues:
 
     def test_rescues_every_corpus_scenario(self, corpus):
         for scenario in corpus:
-            greedy, _, solver = _stack(scenario.repo, scenario.config,
-                                       compilers=GEN_COMPILERS)
+            greedy, solver = _stack(scenario.repo, scenario.config,
+                                    compilers=GEN_COMPILERS)
             with pytest.raises(ConcretizationError):
                 greedy.concretize(scenario.request)
             concrete = solver.concretize(scenario.request)
@@ -120,18 +115,25 @@ class TestRescues:
             assert solver.last_proven_optimal, scenario.label
             assert solver.last_nogoods >= 1, scenario.label
 
-    def test_provider_rescue_matches_backtracking(self, corpus):
-        """On provider-only dead ends the two searches must agree: the
-        solver's provider weights mirror the policy order backtracking
-        enumerates in."""
-        for scenario in corpus:
-            if scenario.rescuer != "backtracking":
-                continue
-            _, bt, solver = _stack(scenario.repo, scenario.config,
-                                   compilers=GEN_COMPILERS)
-            assert (solver.concretize(scenario.request).dag_hash()
-                    == bt.concretize(scenario.request).dag_hash()), \
-                scenario.label
+    def test_provider_rescues_pick_the_expected_providers(self, corpus):
+        """§4.5's provider dead ends: the solver deviates from the
+        preferred providers only, to the first consistent ones in the
+        policy order, and keeps every other choice greedy's."""
+        expected = {
+            "hwloc-version-pin": {"mpi2": "bmpi@1.0", "hwloc": "hwloc@1.9"},
+            "provider-pair": {"vinta": "a2@1.0", "vintb": "b2@1.0",
+                              "libx": "libx@2"},
+        }
+        scenarios = {s.label: s for s in corpus}
+        for label, picks in expected.items():
+            scenario = scenarios[label]
+            _, solver = _stack(scenario.repo, scenario.config,
+                               compilers=GEN_COMPILERS)
+            concrete = solver.concretize(scenario.request)
+            got = {name: "%s@%s" % (concrete[name].name, concrete[name].version)
+                   for name in picks}
+            assert got == picks, label
+            assert {key[0] for key in solver.last_deviations} == {"provider"}
 
     def test_backjumps_skip_the_provider_subspace(self):
         """A root-compiler conflict makes every provider deviation
@@ -145,7 +147,7 @@ class TestRescues:
         repo.add_class("croot", _make_package(
             "croot", ["1.0"], [("vint", "", None)],
             conflict_decls=["%gcc"]))
-        _, _, solver = _stack(repo)
+        _, solver = _stack(repo)
         concrete = solver.concretize("croot")
         assert str(concrete.compiler) == "intel@15.0.1"
         assert solver.last_backjumps >= 2  # both provider alternatives
@@ -159,7 +161,7 @@ class TestOptimality:
         consistent DAG scores below the solver's answer, and the
         solver's answer is one of the enumerated DAGs."""
         for scenario in greedy_dead_end_corpus():
-            _, _, solver = _stack(scenario.repo, scenario.config)
+            _, solver = _stack(scenario.repo, scenario.config)
             concrete = solver.concretize(scenario.request)
             score = solver.score(concrete)
             assert solver.last_score == score, scenario.label
@@ -177,7 +179,7 @@ class TestOptimality:
         *generated* universe — the ISSUE's acceptance bar."""
         repo = RepoGenerator(13, count=4, virtuals=1,
                              conflict_density=1.0).build()
-        _, _, solver = _stack(repo)
+        _, solver = _stack(repo)
         checked = 0
         for name in repo.all_package_names():
             variables = solver._choice_variables(Spec(name))
@@ -214,7 +216,7 @@ class TestOptimality:
             "vpick-zzz", ["1.0"], [], provided="vgood"))
         repo.add_class("top", _make_package(
             "top", ["1.0"], [("vgood", "", None)]))
-        greedy, _, solver = _stack(repo)
+        greedy, solver = _stack(repo)
         g = greedy.concretize("top")
         s = solver.concretize("top")
         assert s.dag_hash() != g.dag_hash()
@@ -234,7 +236,7 @@ class TestOptimality:
         assert W_PROVIDER > max_reuse_delta
         assert W_CDEP > max_reuse_delta
         assert W_STEP > max_reuse_delta
-        # and the provider subspace (backtracking's space) is explored
+        # and the provider subspace (§4.5's hwloc case) is explored
         # before any single non-provider deviation, for up to ten
         # ranked providers per virtual
         assert 9 * W_PROVIDER < W_CDEP < W_STEP
@@ -268,8 +270,8 @@ class TestReuse:
 class TestLimitsAndErrors:
     def test_attempt_budget_raises_typed_limit_error(self):
         scenario = greedy_dead_end_corpus()[0]  # hwloc: needs 2 attempts
-        _, _, solver = _stack(scenario.repo, scenario.config,
-                              max_attempts=1)
+        _, solver = _stack(scenario.repo, scenario.config,
+                           max_attempts=1)
         with pytest.raises(SolverLimitError):
             solver.concretize(scenario.request)
 
@@ -278,13 +280,13 @@ class TestLimitsAndErrors:
         repo.add_class("pin", _make_package("pin", ["9"], []))
         repo.add_class("broken", _make_package(
             "broken", ["1.0"], [("pin", "@1:2", None)]))
-        _, _, solver = _stack(repo)
+        _, solver = _stack(repo)
         with pytest.raises(ConcretizationError):
             solver.concretize("broken")
 
     def test_anonymous_spec_rejected(self):
         repo = RepoGenerator(3, count=4, virtuals=0).build()
-        _, _, solver = _stack(repo)
+        _, solver = _stack(repo)
         with pytest.raises(ConcretizationError):
             solver.concretize(Spec("@2:"))
 

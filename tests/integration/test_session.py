@@ -92,6 +92,37 @@ class TestRepoManagement:
         session.add_repo(extra)
         assert session.provider_index.is_virtual("newapi")
 
+    def test_registration_reaches_the_provider_index(self, session):
+        """Regression: the provider index was rebuilt only by add_repo,
+        so a package providing a new virtual, registered into the
+        session's existing repo, was unknown to the session's
+        concretizer (UnknownPackageError on the virtual) while a
+        freshly forked State concretized the same request."""
+        from repro.directives import depends_on, provides, version
+        from repro.package.package import Package
+        from repro.service.snapshot import StateSnapshot
+
+        session.concretize("libelf", use_cache=False)  # index built
+        repo = session.repo.repos[0]
+
+        @repo.register("newlib")
+        class Newlib(Package):
+            version("1.0", "x")
+            provides("newapi")
+
+        @repo.register("newapp")
+        class Newapp(Package):
+            version("1.0", "x")
+            depends_on("newapi")
+
+        assert session.provider_index.is_virtual("newapi")
+        cold = session.concretize("newapp", use_cache=False)
+        assert cold["newapi"].name == "newlib"
+        fresh = StateSnapshot(session).concretize("newapp", use_cache=False)
+        assert cold.dag_hash() == fresh.dag_hash()
+        # with caches on, the answer no longer depends on who stored first
+        assert session.concretize("newapp").dag_hash() == cold.dag_hash()
+
     def test_package_for(self, session):
         concrete = session.concretize(Spec("libelf"))
         pkg = session.package_for(concrete)

@@ -68,7 +68,6 @@ class TestConcretizability:
         universe = full_universe(total=245)
         session = Session.create(str(tmp_path / "u"), packages=None)
         session.repo.repos = universe.repos
-        session._provider_index = None
         synthetic = [n for n in universe.all_package_names() if n.startswith("syn-")]
         sample = ["syn-000", "syn-023", "syn-046", "syn-100", synthetic[-1]]
         for name in sample:

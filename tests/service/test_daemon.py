@@ -65,9 +65,9 @@ class TestEndpoints:
 
     def test_spack_spec_variant_override(self, daemon):
         result = daemon.call(
-            "spack_spec", {"spec": "libelf", "concretizer": "backtracking"}
+            "spack_spec", {"spec": "libelf", "concretizer": "solver"}
         )
-        assert result["concretizer"] == "backtracking"
+        assert result["concretizer"] == "solver"
 
     def test_spack_install_then_find(self, daemon):
         result = daemon.call("spack_install", {"spec": "libdwarf"})

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.config.config import ConfigError
+from repro.core.conc_cache import EnvironmentDigest
 from repro.repo.repository import NoSuchPackageError
 from repro.service.snapshot import SnapshotManager, StateSnapshot
 from repro.session import Session
@@ -25,14 +26,22 @@ def tsession(tmp_path, hub):
     return Session.create(str(tmp_path / "universe"), telemetry=hub)
 
 
+def live_digest(session):
+    """The environment digest over the live session's repo, config,
+    compilers and policy."""
+    return EnvironmentDigest(
+        session.repo, session.compilers, session.config, session.policy
+    ).current()
+
+
 class TestDigestParity:
     def test_snapshot_digest_matches_session(self, tsession):
         snapshot = StateSnapshot(tsession)
-        assert snapshot.env_digest == tsession._env_digest.current()
+        assert snapshot.env_digest == live_digest(tsession)
 
     def test_concretization_matches_session_per_variant(self, tsession):
         snapshot = StateSnapshot(tsession)
-        for variant in ("greedy", "backtracking", "solver"):
+        for variant in ("greedy", "solver"):
             database = tsession.db if variant == "solver" else None
             from_snapshot = snapshot.concretize(
                 "mpileaks", variant, database=database
@@ -149,3 +158,89 @@ class TestSnapshotManager:
         assert new is not old
         assert "newpkg" in new.repo
         assert "newpkg" not in old.repo
+
+
+class TestMemoBound:
+    def test_cap_plus_one_requests_evict_the_least_recently_used(
+        self, tmp_path, hub
+    ):
+        """A resident daemon never re-forks, so the memo is an LRU of
+        ``MEMO_ENTRIES``: one request past the cap evicts exactly the
+        least recently used entry."""
+        from repro.service.snapshot import MEMO_ENTRIES
+        from repro.spec.spec import Spec
+
+        session = Session.create(
+            str(tmp_path / "u"), telemetry=hub,
+            config_overrides={"concretize_cache": {"enabled": False}},
+        )
+        state = session.snapshots.current()
+        # a cold run that costs nothing: the memo is what is under test
+        state._concretize_cold = lambda spec, variant, database=None: spec
+        texts = ["libelf@%d" % i for i in range(MEMO_ENTRIES + 1)]
+        for text in texts[:-1]:
+            session.concretize(text)
+        session.concretize(texts[0])  # the oldest becomes the most recent
+        assert hub.counter("concretize.cache.evict") == 0
+        session.concretize(texts[-1])
+        assert hub.counter("concretize.cache.evict") == 1
+        assert len(state._memo) == MEMO_ENTRIES
+
+        def memoized(text):
+            return state.cache_key(Spec(text), "greedy") in state._memo
+
+        assert not memoized(texts[1])
+        assert all(memoized(t) for t in texts[:1] + texts[2:])
+
+    def test_concurrent_requests_keep_the_bound_exact(self, tmp_path, hub,
+                                                      monkeypatch):
+        """Eight threads race a fresh snapshot: its digest is computed
+        once, and every admission and eviction is counted exactly."""
+        import sys
+        import threading
+
+        from repro.service.snapshot import MEMO_ENTRIES
+
+        session = Session.create(
+            str(tmp_path / "u"), telemetry=hub,
+            config_overrides={"concretize_cache": {"enabled": False}},
+        )
+        digests = []
+        real_current = EnvironmentDigest.current
+
+        def counted_current(self):
+            digests.append(1)
+            return real_current(self)
+
+        monkeypatch.setattr(EnvironmentDigest, "current", counted_current)
+        state = session.snapshots.current()
+        state._concretize_cold = lambda spec, variant, database=None: spec
+        n_threads, per_thread = 8, MEMO_ENTRIES // 8 + 64
+        barrier = threading.Barrier(n_threads)
+        errors = []
+
+        def worker(t):
+            try:
+                barrier.wait()
+                for i in range(per_thread):
+                    state.concretize("libelf@%d.%d" % (t, i))
+            except Exception as e:  # pragma: no cover - failure detail
+                errors.append(e)
+
+        threads = [threading.Thread(target=worker, args=(t,))
+                   for t in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(digests) == 1
+        assert len(state._memo) == MEMO_ENTRIES
+        total = n_threads * per_thread
+        assert hub.counter("concretize.cache.evict") == total - MEMO_ENTRIES

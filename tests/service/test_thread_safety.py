@@ -1,56 +1,57 @@
-"""Regression tests for the Session-level races the daemon exposed.
+"""Regression tests for the concretization races the daemon exposed.
 
-``Session.concretize`` keeps an in-process memo that must be cleared
-when the environment digest moves.  Pre-fix, the digest check, the
-invalidating ``clear()``, and the memo read ran unlocked — two threads
-racing past a config change would both see the stale digest, both
-clear (double-counting the invalidation), and the slower ``clear()``
-would wipe the entry the faster thread had just stored for the *new*
-digest.  The test makes that interleaving deterministic by parking the
-first thread inside its ``clear()`` while a second thread runs the
-same path to completion."""
+Concretizations are memoized in the session's frozen State
+(:mod:`repro.service.snapshot`), and an environment change forks a new
+State whose memo starts empty.  The original bug lived in a Session-level
+memo: the digest check, the invalidating ``clear()`` and the memo read
+ran unlocked, so two threads racing past a config change both saw the
+stale digest, both cleared (double-counting the invalidation), and the
+slower ``clear()`` wiped the entry the faster thread had just stored for
+the *new* digest.  The same race against the State would be two forks:
+the later one replaces the State the faster thread stored into.  The
+test makes that interleaving deterministic by parking the first thread
+inside its fork while a second thread runs the same path."""
 
 import threading
 
+from repro.service import snapshot as snapshot_module
 from repro.session import Session
 from repro.telemetry import Telemetry
 from repro.telemetry.sinks import MemorySink
 
 
-class _BlockingMemo(dict):
-    """A memo dict whose first ``clear()`` parks mid-invalidation, giving
-    a second thread a deterministic window to race into the same cycle."""
-
-    def __init__(self, entered, proceed):
-        super().__init__()
-        self._entered = entered
-        self._proceed = proceed
-        self._first = True
-        self.clears = 0
-
-    def clear(self):
-        self.clears += 1
-        if self._first:
-            self._first = False
-            self._entered.set()
-            # post-fix the second thread blocks on the session lock and
-            # can never signal us; the timeout keeps the test moving
-            self._proceed.wait(timeout=2.0)
-        super().clear()
-
-
 class TestConcMemoInvalidation:
-    def test_digest_invalidation_is_atomic_with_memo_access(self, tmp_path):
+    def test_digest_invalidation_is_atomic_with_memo_access(self, tmp_path,
+                                                             monkeypatch):
         hub = Telemetry()
         hub.add_sink(MemorySink())
-        session = Session.create(str(tmp_path / "universe"), telemetry=hub)
-        session.concretize("libelf")  # seeds the memo and the last digest
+        # without a persistent cache a cold result enters the memo at once
+        session = Session.create(
+            str(tmp_path / "universe"), telemetry=hub,
+            config_overrides={"concretize_cache": {"enabled": False}},
+        )
+        session.concretize("libelf")  # forks the first State, fills its memo
 
         entered, proceed = threading.Event(), threading.Event()
-        memo = _BlockingMemo(entered, proceed)
-        memo.update(session._conc_memo)
-        session._conc_memo = memo
-        # the environment moves: the next concretize must invalidate
+        real_state = snapshot_module.StateSnapshot
+
+        class ParkedFork(real_state):
+            """A State whose first construction parks mid-fork, giving a
+            second thread a deterministic window to race into it."""
+
+            parked = False
+
+            def __init__(self, session):
+                if not ParkedFork.parked:
+                    ParkedFork.parked = True
+                    entered.set()
+                    # the second thread blocks on the manager's lock and
+                    # can never signal us; the timeout keeps the test moving
+                    proceed.wait(timeout=2.0)
+                super().__init__(session)
+
+        monkeypatch.setattr(snapshot_module, "StateSnapshot", ParkedFork)
+        # the environment moves: the next concretize must fork
         session.config.update(
             "user", {"packages": {"zlib": {"buildable": False}}}
         )
@@ -65,7 +66,7 @@ class TestConcMemoInvalidation:
 
         first = threading.Thread(target=concretize, args=("libelf",))
         first.start()
-        assert entered.wait(timeout=30)  # first is inside its clear()
+        assert entered.wait(timeout=30)  # first is inside its fork
         second = threading.Thread(target=concretize, args=("libdwarf",))
         second.start()
         second.join(timeout=30)
@@ -74,13 +75,13 @@ class TestConcMemoInvalidation:
         assert not first.is_alive() and not second.is_alive()
         assert errors == []
 
-        # one environment change: exactly one invalidation, one clear —
-        # pre-fix both threads cleared and the counter read 2
-        assert memo.clears == 1
+        # one environment change: exactly one fork, one invalidation —
+        # racing forks would count two
+        assert session.snapshots.forks == 2
         assert hub.counter("concretize.cache.invalidate") == 1
-        # and the second thread's fresh entry survived — pre-fix the
-        # parked clear() wiped it after it was stored
-        assert len(session._conc_memo) == 2
+        # and the second thread's fresh entry survived in the State both
+        # threads share — a second fork would have replaced it
+        assert len(session.snapshots.current()._memo) == 2
 
     def test_concurrent_concretize_same_spec_is_consistent(self, tmp_path):
         hub = Telemetry()

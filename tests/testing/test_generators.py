@@ -14,11 +14,10 @@ from repro.testing.generators import (
 
 
 def _concretizer_stack(repo, extra_config=None, compilers=GEN_COMPILERS):
-    """(greedy, backtracking, solver) over one repo with the generated
-    universes' standard gcc-first configuration."""
+    """(greedy, solver) over one repo with the generated universes'
+    standard gcc-first configuration."""
     from repro.compilers.registry import Compiler, CompilerRegistry
     from repro.config.config import Config
-    from repro.core.backtracking import BacktrackingConcretizer
     from repro.core.concretizer import Concretizer
     from repro.core.solver import SolverConcretizer
     from repro.repo.providers import ProviderIndex
@@ -34,11 +33,7 @@ def _concretizer_stack(repo, extra_config=None, compilers=GEN_COMPILERS):
     if extra_config:
         config.update("user", extra_config)
     args = (repo, index, registry, config)
-    return (
-        Concretizer(*args),
-        BacktrackingConcretizer(*args),
-        SolverConcretizer(*args, max_attempts=128),
-    )
+    return Concretizer(*args), SolverConcretizer(*args, max_attempts=128)
 
 
 def _fingerprint(repo):
@@ -171,7 +166,7 @@ class TestNamePrefixing:
 
         repo = RepoGenerator(8, count=15, virtuals=2, name_prefix="px",
                              hub_bias=0.6, max_deps=4).build()
-        greedy, _, _ = _concretizer_stack(repo)
+        greedy, _ = _concretizer_stack(repo)
         for name in repo.all_package_names():
             assert greedy.concretize(Spec(name)).concrete
 
@@ -241,16 +236,16 @@ class TestConflictKnobs:
 
     def test_conflict_universe_fails_typed_or_concretizes(self):
         """Every package either concretizes or fails with a *typed*
-        concretization error — never an untyped crash — under all three
+        concretization error — never an untyped crash — under both
         concretizers."""
         from repro.core.concretizer import ConcretizationError
         from repro.spec.errors import SpecError
 
         repo = RepoGenerator(77, count=15, virtuals=2, conflict_density=1.0,
                              when_depth=2, provider_overlap=0.5).build()
-        greedy, bt, solver = _concretizer_stack(repo)
+        greedy, solver = _concretizer_stack(repo)
         for name in repo.all_package_names():
-            for concretizer in (greedy, bt, solver):
+            for concretizer in (greedy, solver):
                 try:
                     concrete = concretizer.concretize(name)
                     assert concrete.concrete
@@ -264,7 +259,7 @@ class TestConflictKnobs:
 
         repo = RepoGenerator(77, count=20, virtuals=3,
                              conflict_density=1.0).build()
-        greedy, _, solver = _concretizer_stack(repo)
+        greedy, solver = _concretizer_stack(repo)
         rescued = 0
         for name in repo.all_package_names():
             try:
@@ -289,35 +284,28 @@ class TestDeadEndCorpus:
         assert [s.request for s in corpus] == [s.request for s in again]
 
     def test_covers_both_rescuer_classes(self, corpus):
-        rescuers = {s.rescuer for s in corpus}
-        assert rescuers == {"backtracking", "solver"}
+        """Some scenarios need only a provider deviation (§4.5's
+        provider search would do), the others a version, variant or
+        compiler deviation."""
+        provider_only = set()
+        for scenario in corpus:
+            _, solver = _concretizer_stack(scenario.repo, scenario.config)
+            solver.concretize(scenario.request)
+            kinds = {key[0] for key in solver.last_deviations}
+            provider_only.add(kinds == {"provider"})
+        assert provider_only == {True, False}
 
     def test_greedy_always_dead_ends(self, corpus):
         from repro.core.concretizer import ConcretizationError
 
         for scenario in corpus:
-            greedy, _, _ = _concretizer_stack(scenario.repo, scenario.config)
+            greedy, _ = _concretizer_stack(scenario.repo, scenario.config)
             with pytest.raises(ConcretizationError):
                 greedy.concretize(scenario.request)
 
-    def test_named_rescuer_succeeds(self, corpus):
-        from repro.core.concretizer import ConcretizationError
-
-        for scenario in corpus:
-            _, bt, solver = _concretizer_stack(scenario.repo, scenario.config)
-            concrete = solver.concretize(scenario.request)
-            assert concrete.concrete, scenario.label
-            assert solver.last_proven_optimal, scenario.label
-            if scenario.rescuer == "backtracking":
-                assert bt.concretize(scenario.request).concrete
-            else:
-                # provider re-enumeration alone cannot fix these
-                with pytest.raises(ConcretizationError):
-                    bt.concretize(scenario.request)
-
     def test_solver_learns_nogoods_on_dead_ends(self, corpus):
         for scenario in corpus:
-            _, _, solver = _concretizer_stack(scenario.repo, scenario.config)
+            _, solver = _concretizer_stack(scenario.repo, scenario.config)
             solver.concretize(scenario.request)
             assert solver.last_nogoods >= 1, scenario.label
 

@@ -1,4 +1,5 @@
-"""The three-way differential oracle: classification and the minimizer."""
+"""The greedy-vs-solver differential oracle: classification and the
+minimizer."""
 
 import pytest
 
@@ -34,7 +35,7 @@ def _build_oracle(conflict_density=0.0, **kwargs):
                          "architecture": "linux-x86_64"}},
     )
     return DifferentialOracle(repo, index, registry, config,
-                              max_attempts=64, **kwargs)
+                              max_attempts=512, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -52,17 +53,15 @@ class TestClassification:
     def test_agreement_on_valid_request(self, oracle):
         comparison = oracle.compare("gen-000")
         assert comparison.kind == AGREE_SUCCESS
-        assert comparison.greedy_hash == comparison.backtracking_hash
         assert comparison.greedy_hash == comparison.solver_hash
         assert comparison.solver_score == comparison.best_score
         assert not comparison.divergent
 
     def test_agreement_on_impossible_request(self, oracle):
-        # no compiler named pgi is registered: all three must fail, typed
+        # no compiler named pgi is registered: both must fail, typed
         comparison = oracle.compare("gen-000 %pgi")
         assert comparison.kind == AGREE_ERROR
         assert comparison.greedy_error is not None
-        assert comparison.backtracking_error is not None
         assert comparison.solver_error is not None
         assert comparison.solver_score is None
 
@@ -115,14 +114,13 @@ class TestClassification:
                              "architecture": "linux-x86_64"}},
         )
         poisoned = DifferentialOracle(repo, index, registry, config,
-                                      max_attempts=64)
+                                      max_attempts=512)
         comparison = poisoned.compare("top")
         assert comparison.kind == IMPROVEMENT
         assert not comparison.divergent
-        assert comparison.greedy_hash == comparison.backtracking_hash
         assert comparison.solver_hash != comparison.greedy_hash
         assert comparison.solver_score == comparison.best_score
-        # backtracking must still reproduce greedy exactly...
+        # one provider deviation...
         assert poisoned.solver.last_deviations == {("provider", "vgood"): 1}
         # ...and the improved DAG drops the poisoned subtree entirely
         greedy_score = poisoned.solver.score(
@@ -131,7 +129,7 @@ class TestClassification:
 
     def test_rescue_classified_when_only_greedy_fails(self, oracle, monkeypatch):
         """Greedy dead ends that the search survives are benign rescues —
-        the searches exist precisely to explore past them (§4.5)."""
+        the solver exists precisely to explore past them (§4.5)."""
         from repro.core.concretizer import ConcretizationError
 
         real_run = DifferentialOracle._run
@@ -147,59 +145,26 @@ class TestClassification:
         assert comparison.kind == RESCUE
         assert not comparison.divergent
 
-    def test_rescue_when_backtracking_also_fails(self, oracle, monkeypatch):
-        """Solver-only rescues are benign: the solver explores deviations
-        (versions, variants, compilers) the provider-only search cannot."""
-        from repro.core.concretizer import ConcretizationError
-
-        real_run = DifferentialOracle._run
-
-        def run_with_only_solver_succeeding(concretizer, request):
-            if concretizer is oracle.solver:
-                return real_run(concretizer, request)
-            return None, None, ConcretizationError.__name__
-
-        monkeypatch.setattr(DifferentialOracle, "_run",
-                            staticmethod(run_with_only_solver_succeeding))
-        comparison = oracle.compare("gen-000")
-        assert comparison.kind == RESCUE
-        assert not comparison.divergent
-
     def test_divergence_when_hashes_differ(self, oracle, monkeypatch):
+        """A different solver hash at the same score is nondeterminism."""
         real_run = DifferentialOracle._run
 
-        def run_with_skewed_backtracking(concretizer, request):
-            g_hash, spec, err = real_run(concretizer, request)
-            if concretizer is oracle.backtracking and g_hash is not None:
-                return "deadbeef" + g_hash[8:], spec, err
-            return g_hash, spec, err
+        def run_with_skewed_solver(concretizer, request):
+            s_hash, spec, err = real_run(concretizer, request)
+            if concretizer is oracle.solver and s_hash is not None:
+                return "deadbeef" + s_hash[8:], spec, err
+            return s_hash, spec, err
 
         monkeypatch.setattr(DifferentialOracle, "_run",
-                            staticmethod(run_with_skewed_backtracking))
+                            staticmethod(run_with_skewed_solver))
         comparison = oracle.compare("gen-000", minimize=False)
         assert comparison.kind == DIVERGENCE
         assert comparison.divergent
 
-    def test_divergence_when_backtracking_loses_a_solution(self, oracle,
-                                                           monkeypatch):
-        from repro.core.concretizer import ConcretizationError
-
-        real_run = DifferentialOracle._run
-
-        def run_with_backtracking_failure(concretizer, request):
-            if concretizer is oracle.backtracking:
-                return None, None, ConcretizationError.__name__
-            return real_run(concretizer, request)
-
-        monkeypatch.setattr(DifferentialOracle, "_run",
-                            staticmethod(run_with_backtracking_failure))
-        comparison = oracle.compare("gen-000", minimize=False)
-        assert comparison.kind == DIVERGENCE
-
     def test_divergence_when_solver_loses_a_solution(self, oracle,
                                                      monkeypatch):
-        """The solver's space subsumes both others: any solution it
-        cannot reproduce is a bug, never a benign miss."""
+        """The solver's space contains greedy's answer: a greedy
+        solution it cannot reproduce is a bug, never a benign miss."""
         from repro.core.concretizer import ConcretizationError
 
         real_run = DifferentialOracle._run
@@ -214,26 +179,10 @@ class TestClassification:
         comparison = oracle.compare("gen-000", minimize=False)
         assert comparison.kind == DIVERGENCE
 
-    def test_divergence_when_only_backtracking_succeeds(self, oracle,
-                                                        monkeypatch):
-        from repro.core.concretizer import ConcretizationError
-
-        real_run = DifferentialOracle._run
-
-        def run_with_only_backtracking(concretizer, request):
-            if concretizer is oracle.backtracking:
-                return real_run(concretizer, request)
-            return None, None, ConcretizationError.__name__
-
-        monkeypatch.setattr(DifferentialOracle, "_run",
-                            staticmethod(run_with_only_backtracking))
-        comparison = oracle.compare("gen-000", minimize=False)
-        assert comparison.kind == DIVERGENCE
-
     def test_optimality_divergence_when_solver_scores_worse(self, oracle,
                                                             monkeypatch):
-        """If another variant's DAG scores strictly better on the
-        solver's own objective, the optimization contract is broken."""
+        """If greedy's DAG scores strictly better on the solver's own
+        objective, the optimization contract is broken."""
         real_score = oracle.solver.score
         real_run = DifferentialOracle._run
 
@@ -256,30 +205,23 @@ class TestClassification:
 
     def test_classify_matrix(self):
         """The full decision table, driven directly (no concretizer).
-        Arguments: greedy/backtracking/solver hash, greedy score,
-        solver score, scores of the non-solver successes."""
+        Arguments: greedy hash, solver hash, greedy score, solver
+        score."""
         classify = DifferentialOracle._classify
-        # all succeed, same hash
-        assert classify("h", "h", "h", 5, 5, [5, 5]) == AGREE_SUCCESS
+        # both succeed, same hash
+        assert classify("h", "h", 5, 5) == AGREE_SUCCESS
         # solver hash differs with a strictly better score: benign
-        assert classify("h", "h", "x", 9, 5, [9, 9]) == IMPROVEMENT
+        assert classify("h", "x", 9, 5) == IMPROVEMENT
         # solver hash differs at the same score: nondeterminism
-        assert classify("h", "h", "x", 5, 5, [5, 5]) == DIVERGENCE
-        # solver worse than an alternative
-        assert classify("h", "h", "x", 5, 9, [5, 5]) == OPTIMALITY_DIVERGENCE
-        assert classify(None, "h", "x", None, 9, [5]) == OPTIMALITY_DIVERGENCE
-        # backtracking must reproduce greedy even when the solver improves
-        assert classify("h", "x", "y", 9, 5, [9, 9]) == DIVERGENCE
-        # greedy fails, solver rescues (backtracking either way)
-        assert classify(None, None, "x", None, 9, []) == RESCUE
-        assert classify(None, "h", "x", None, 5, [5]) == RESCUE
-        # greedy ok, a search failed
-        assert classify("h", None, "h", 5, 5, [5]) == DIVERGENCE
-        assert classify("h", "h", None, 5, None, [5, 5]) == DIVERGENCE
-        # solver failed where backtracking succeeded
-        assert classify(None, "h", None, None, None, [5]) == DIVERGENCE
-        # everyone failed
-        assert classify(None, None, None, None, None, []) == AGREE_ERROR
+        assert classify("h", "x", 5, 5) == DIVERGENCE
+        # solver worse than greedy
+        assert classify("h", "x", 5, 9) == OPTIMALITY_DIVERGENCE
+        # greedy fails, solver rescues
+        assert classify(None, "x", None, 9) == RESCUE
+        # greedy ok, the solver failed
+        assert classify("h", None, 5, None) == DIVERGENCE
+        # both failed
+        assert classify(None, None, None, None) == AGREE_ERROR
 
 
 class TestMinimizer:
@@ -319,11 +261,11 @@ class TestMinimizer:
 
     def test_comparison_serializes(self):
         comparison = Comparison("a", AGREE_SUCCESS, greedy_hash="h",
-                                backtracking_hash="h", solver_hash="h",
-                                attempts=3, solver_attempts=7, solver_score=12)
+                                solver_hash="h", solver_attempts=7,
+                                solver_score=12)
         data = comparison.to_dict()
         assert data["kind"] == AGREE_SUCCESS
-        assert data["attempts"] == 3
+        assert data["greedy_hash"] == "h"
         assert data["solver_attempts"] == 7
         assert data["solver_score"] == 12
         assert data["solver_hash"] == "h"
