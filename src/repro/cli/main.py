@@ -499,7 +499,6 @@ def cmd_verify(args):
 
 def cmd_reindex(args):
     session = _session(args)
-    session.db._records = {}
     found = session.db.rebuild_from_prefixes()
     print("==> reindexed %d installed specs from provenance files" % found)
     return 0

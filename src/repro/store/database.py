@@ -18,6 +18,15 @@ scheduler worker thread) are never clobbered by a stale snapshot.
 :meth:`Database.transaction` batches several mutations into one such
 cycle: the DAG-parallel scheduler registers a whole drain of finished
 builds with a single lock acquisition and a single index write.
+
+A cycle costs what it changes.  Beside its records the database keeps
+the index as it last read or wrote it: the file's bytes and each
+record's dict.  The re-read parses no record when the file's bytes are
+unchanged, and otherwise only the records whose dict differs.  The
+write happens only when a mutation changed a record or the re-read
+found the file unparseable, and re-serializes only the changed records.
+The index is compact JSON (sorted keys, no indentation, so the C
+encoder writes it); an indented index reads the same.
 """
 
 import contextlib
@@ -93,6 +102,13 @@ class Database:
         #: optional session Telemetry hub (lock waits, reindex spans)
         self.telemetry = telemetry
         self._records = {}
+        #: the index as last read or written: the file's bytes and its
+        #: {hash: record dict}
+        self._disk_bytes = None
+        self._disk = {}
+        #: keys whose record differs from ``_disk`` (added, removed or
+        #: changed since the index was last read or written)
+        self._dirty = set()
         #: depth > 0 while inside transaction(); saves are deferred
         self._txn_depth = 0
         self._load()
@@ -110,23 +126,39 @@ class Database:
     def _reread_index(self):
         """Merge the on-disk index into memory (call while locked).
 
-        Unlike :meth:`refresh` this never discards in-memory records that
-        the disk does not know about yet and never falls back to a prefix
-        scan — it only folds in what other writers have persisted since
-        our snapshot, with the disk winning for keys both sides know.
+        Returns True when the index is unparseable, so that the caller
+        rewrites it from memory.  Unlike :meth:`refresh` this never
+        discards in-memory records that the disk does not know about yet
+        and never falls back to a prefix scan — it only folds in what
+        other writers have persisted since our snapshot, with the disk
+        winning for the records they changed.  Only those records are
+        parsed, and none when the file's bytes are the ones last seen.
         """
-        if not os.path.isfile(self.index_path):
-            return
         try:
-            with open(self.index_path) as f:
-                data = json.load(f)
-            disk = {
+            with open(self.index_path, "rb") as f:
+                raw = f.read()
+        except FileNotFoundError:
+            raw = None
+        except OSError:
+            return True
+        if raw == self._disk_bytes:
+            return False
+        try:
+            disk = json.loads(raw).get("installs", {}) if raw is not None else {}
+            changed = {
                 h: InstallRecord.from_dict(rd)
-                for h, rd in data.get("installs", {}).items()
+                for h, rd in disk.items()
+                if self._disk.get(h) != rd
             }
-        except (ValueError, KeyError, OSError):
-            return  # corrupt index: keep our snapshot; _save rewrites it
-        self._records.update(disk)
+        except (ValueError, KeyError):
+            return True  # corrupt index: keep our snapshot; _save rewrites it
+        self._records.update(changed)
+        # records only in memory stay, and the next write restores them
+        self._dirty = {
+            h for h in self._dirty if h in disk and h not in changed
+        } | {h for h in self._records if h not in disk}
+        self._disk, self._disk_bytes = disk, raw
+        return False
 
     def _write_foreign_record(self):
         """Write :data:`FOREIGN_SPEC` straight to the on-disk index,
@@ -146,7 +178,7 @@ class Database:
         mkdirp(self.db_dir)
         tmp = self.index_path + ".foreign.tmp"
         with open(tmp, "w") as f:
-            json.dump(data, f, indent=1, sort_keys=True)
+            f.write(json.dumps(data, sort_keys=True))
         os.replace(tmp, self.index_path)
 
     @contextlib.contextmanager
@@ -155,8 +187,9 @@ class Database:
 
         Acquires the index lock, re-reads the on-disk index, lets the
         body apply mutations (``add``/``remove``/``mark_explicit``), and
-        persists once on exit.  Nests: inner transactions piggyback on
-        the outermost one's read and write.
+        persists once on exit if a record changed or the index was
+        unparseable.  Nests: inner transactions piggyback on the
+        outermost one's read and write.
         """
         if self.faults is not None and self._txn_depth == 0:
             # fault site: a concurrent session wrote the index between our
@@ -165,48 +198,47 @@ class Database:
             if self.faults.hit("db.write_race") is not None:
                 self._write_foreign_record()
         with self._locked():
-            if self._txn_depth == 0:
-                self._reread_index()
+            unparseable = self._txn_depth == 0 and self._reread_index()
             self._txn_depth += 1
             try:
                 yield self
             finally:
                 self._txn_depth -= 1
-            if self._txn_depth == 0:
+            if self._txn_depth == 0 and (self._dirty or unparseable):
                 self._save()
 
     # -- persistence ---------------------------------------------------------
     def _load(self):
-        if not os.path.isfile(self.index_path):
-            # Missing index with existing prefixes (deleted, new mount):
+        self._records, self._disk, self._disk_bytes = {}, {}, None
+        self._dirty = set()
+        if self._reread_index() or self._disk_bytes is None:
+            # Missing index (deleted, new mount) or corrupt one:
             # reconstruct from provenance.  A fresh store scans nothing.
-            self.rebuild_from_prefixes()
-            return
-        try:
-            with open(self.index_path) as f:
-                data = json.load(f)
-            self._records = {
-                h: InstallRecord.from_dict(rd) for h, rd in data.get("installs", {}).items()
-            }
-        except (ValueError, KeyError, OSError):
-            # Corrupt index: rebuild from provenance files.
-            self._records = {}
             self.rebuild_from_prefixes()
 
     def _save(self):
+        """Write the index: the records as last read or written, with
+        the changed ones re-serialized, replacing the file atomically."""
+        installs = dict(self._disk)
+        for key in self._dirty:
+            record = self._records.get(key)
+            if record is None:
+                installs.pop(key, None)
+            else:
+                installs[key] = record.to_dict()
+        raw = json.dumps({"installs": installs}, sort_keys=True).encode()
         mkdirp(self.db_dir)
         tmp = self.index_path + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(
-                {"installs": {h: r.to_dict() for h, r in self._records.items()}},
-                f,
-                indent=1,
-                sort_keys=True,
-            )
+        with open(tmp, "wb") as f:
+            f.write(raw)
         os.replace(tmp, self.index_path)
+        self._disk, self._disk_bytes = installs, raw
+        self._dirty = set()
 
     def rebuild_from_prefixes(self):
-        """Reconstruct the index from per-prefix ``spec.json`` provenance."""
+        """Replace the records with those reconstructed from per-prefix
+        ``spec.json`` provenance and write the index, under the index
+        lock.  Returns how many records were found."""
         from repro.store.layout import DirectoryLayout
         from repro.telemetry.hub import NULL_SPAN
 
@@ -215,9 +247,9 @@ class Database:
             if self.telemetry is not None
             else NULL_SPAN
         )
-        with span:
+        with span, self._locked():
             layout = DirectoryLayout(os.path.join(self.root, "opt"))
-            found = 0
+            records = {}
             skipped = 0
             for prefix in layout.all_specs_dirs():
                 spec_file = os.path.join(prefix, METADATA_DIR, "spec.json")
@@ -230,16 +262,19 @@ class Database:
                 except (ValueError, KeyError):
                     skipped += 1
                     continue
-                self._records[spec.dag_hash()] = InstallRecord(spec, prefix)
-                found += 1
-            if found:
+                records[spec.dag_hash()] = InstallRecord(spec, prefix)
+            # rewrite every record found or last seen in the index; with
+            # neither (a fresh store) write nothing, so an index another
+            # process created since our load is kept
+            self._dirty = set(records) | set(self._disk)
+            self._records = records
+            if self._dirty:
                 self._save()
-            span.set(found=found, skipped=skipped)
-        return found
+            span.set(found=len(records), skipped=skipped)
+        return len(records)
 
     def refresh(self):
         """Re-read the index (pick up other sessions' writes)."""
-        self._records = {}
         self._load()
 
     # -- mutation --------------------------------------------------------------
@@ -247,8 +282,10 @@ class Database:
         if not spec.concrete:
             raise DatabaseError("Only concrete specs can be installed: %s" % spec)
         with self.transaction():
+            key = spec.dag_hash()
             record = InstallRecord(spec.copy(), prefix, explicit=explicit)
-            self._records[spec.dag_hash()] = record
+            self._records[key] = record
+            self._dirty.add(key)
         return record
 
     def remove(self, spec):
@@ -257,13 +294,16 @@ class Database:
             if key not in self._records:
                 raise DatabaseError("Spec is not installed: %s" % spec)
             record = self._records.pop(key)
+            self._dirty.add(key)
         return record
 
     def mark_explicit(self, spec, explicit=True):
         with self.transaction():
-            record = self.get(spec)
-            if record:
+            key = spec.dag_hash()
+            record = self._records.get(key)
+            if record and record.explicit != explicit:
                 record.explicit = explicit
+                self._dirty.add(key)
 
     # -- queries ----------------------------------------------------------------
     def get(self, spec):

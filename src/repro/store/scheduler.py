@@ -18,7 +18,8 @@ Two execution modes, one state machine:
   transitions), so workers only ever run the session-safe executor.
   Finished builds are registered in **write-batched** database
   transactions: one index read-merge-write per drain of completions
-  rather than per node.
+  rather than per node.  Build-cache pushes and module files follow
+  once the drain's transaction has committed, as in serial mode.
 
 Telemetry: a ``scheduler.run`` span wraps the whole drive; the
 ``scheduler.queue_depth`` gauge tracks the READY backlog at every
@@ -145,7 +146,8 @@ class Scheduler:
                     plan.skip_pending()
                     break
                 continue
-            self._complete_success(plan, task, stats)
+            self._register(task, stats)
+            self._publish(plan, task)
 
     # -- pooled mode --------------------------------------------------------
     def _run_pooled(self, plan, keep_stage):
@@ -180,7 +182,9 @@ class Scheduler:
                 )
                 # Deterministic completion handling: drain the whole batch
                 # in post-order, registering successes in ONE database
-                # transaction (write batching under the index lock).
+                # transaction (write batching under the index lock), then
+                # pushing and writing modules once it has committed, so
+                # the lock is not held while tarballs are packed.
                 batch = sorted(
                     ((in_flight.pop(f), f) for f in finished),
                     key=lambda pair: pair[0].index,
@@ -191,7 +195,9 @@ class Scheduler:
                 if successes:
                     with self.session.db.transaction():
                         for task, f in successes:
-                            self._complete_success(plan, task, f.result())
+                            self._register(task, f.result())
+                    for task, _ in successes:
+                        self._publish(plan, task)
                 for task, f in batch:
                     if f.exception() is not None:
                         self._complete_failure(plan, task, f.exception())
@@ -232,7 +238,8 @@ class Scheduler:
             return None  # REUSE and EXTERNAL are pure bookkeeping
 
     # -- completion handling (scheduler side) -------------------------------
-    def _complete_success(self, plan, task, stats):
+    def _register(self, task, stats):
+        """Record a finished task in the database and count its outcome."""
         db = self.session.db
         hub = self.session.telemetry
         node = task.node
@@ -246,29 +253,32 @@ class Scheduler:
         else:
             task.stats = stats
             db.add(node, node.prefix, explicit=False)
-            push_enabled = (
-                self.session.buildcache is not None
-                and self.session.buildcache_push
-            )
             if stats.spliced:
                 hub.count("install.spliced")
-                if push_enabled:
-                    # publish the spliced prefix under the *requested*
-                    # hash so the next install of this exact DAG is a
-                    # direct cache hit (the cache converges on splices)
-                    self.session.buildcache.push(
-                        node, node.prefix, self.session.root
-                    )
             elif stats.cache_hit:
                 hub.count("install.cached")
             else:
                 hub.count("install.built")
-                if push_enabled:
-                    # auto-publish only genuine builds: a cache-extracted
-                    # prefix would re-pack with its distribution marker
-                    self.session.buildcache.push(
-                        node, node.prefix, self.session.root
-                    )
+
+    def _publish(self, plan, task):
+        """Push a new prefix to the build cache and write its modules
+        (after its registration has committed), then mark it INSTALLED."""
+        stats = task.stats
+        if stats is not None:
+            node = task.node
+            # auto-publish genuine builds, and splices under the
+            # *requested* hash so the next install of this exact DAG is a
+            # direct cache hit (the cache converges on splices); a
+            # cache-extracted prefix would re-pack with its distribution
+            # marker
+            if (
+                (stats.spliced or not stats.cache_hit)
+                and self.session.buildcache is not None
+                and self.session.buildcache_push
+            ):
+                self.session.buildcache.push(
+                    node, node.prefix, self.session.root
+                )
             if self.session.generate_modules:
                 from repro.modules.generator import ModuleGenerator
 

@@ -7,6 +7,7 @@ heals prefixes (hash-addressed prefixes make this safe), and mirrors
 make all of it possible without a network.
 """
 
+import json
 import os
 import shutil
 
@@ -33,7 +34,6 @@ class TestIndexLoss:
     def test_rebuilt_records_verify_clean(self, installed_mpileaks):
         session, _, _ = installed_mpileaks
         os.unlink(session.db.index_path)
-        session.db._records = {}
         session.db.rebuild_from_prefixes()
         assert verify_store(session) == []
 
@@ -63,6 +63,28 @@ class TestPrefixLoss:
         assert "liblibelf.so.json" in ldd(binary, env={})
 
 
+class TestRebuildReplaces:
+    def test_rebuild_drops_records_of_deleted_prefixes(self, session,
+                                                       monkeypatch):
+        """rebuild_from_prefixes() replaces the record set in memory and
+        in the index, and writes the index under the index lock."""
+        spec, _ = session.install("libdwarf")
+        db = session.db
+        shutil.rmtree(session.store.layout.path_for_spec(spec))
+        locked_saves = []
+        real_save = db._save
+        monkeypatch.setattr(
+            db, "_save",
+            lambda: (locked_saves.append(db.lock.held), real_save())[1],
+        )
+        assert db.rebuild_from_prefixes() == 1
+        assert not db.installed(spec)
+        assert db.installed(spec["libelf"])
+        with open(db.index_path) as f:
+            assert set(json.load(f)["installs"]) == {spec["libelf"].dag_hash()}
+        assert locked_saves == [True]
+
+
 class TestAirGappedRebuild:
     def test_full_rebuild_from_mirror_after_store_loss(self, session, tmp_path):
         """Store destroyed, network gone: mirror + recipes rebuild it."""
@@ -75,7 +97,7 @@ class TestAirGappedRebuild:
         # catastrophe: the whole opt tree and index vanish
         shutil.rmtree(session.store.layout.root)
         os.unlink(session.db.index_path)
-        session.db._records = {}
+        session.db.refresh()
         # and the internet is gone too
         session.web._pages.clear()
         session.fetcher.add_mirror(mirror)

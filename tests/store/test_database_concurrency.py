@@ -1,13 +1,56 @@
 """Database under concurrency: transactions, stale-snapshot merge, threads."""
 
+import collections
 import json
 import threading
 
-from repro.store.database import Database
+import pytest
+
+from repro.spec.spec import Spec
+from repro.store.database import FOREIGN_NAME, Database, InstallRecord
 
 
 def _concrete_specs(session, names):
     return [session.concretize(n) for n in names]
+
+
+def _fake_specs(count, start=0):
+    """Distinct one-node concrete specs (no recipe needed)."""
+    specs = []
+    for i in range(start, start + count):
+        spec = Spec("libelf@0.8.%d%%gcc@4.9.2=linux-x86_64" % i)
+        spec._concrete = spec._normal = True
+        specs.append(spec)
+    return specs
+
+
+def _filled(root, count=50):
+    """A Database on ``root`` holding ``count`` records it wrote itself."""
+    db = Database(root)
+    with db.transaction():
+        for spec in _fake_specs(count):
+            db.add(spec, "/fake/%s" % spec.versions)
+    return db
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of record parses (``from_dict``), record serializations
+    (``to_dict``) and index writes (``_save``) from here on."""
+    counts = collections.Counter()
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(InstallRecord, "from_dict", classmethod(
+        counting("from_dict", InstallRecord.from_dict.__func__)))
+    monkeypatch.setattr(InstallRecord, "to_dict",
+                        counting("to_dict", InstallRecord.to_dict))
+    monkeypatch.setattr(Database, "_save", counting("save", Database._save))
+    return counts
 
 
 class TestTransaction:
@@ -39,15 +82,27 @@ class TestTransaction:
 
     def test_stale_snapshot_does_not_clobber_other_writer(self, session):
         """Two Database objects on one store: each writer's records survive
-        the other's read-merge-write cycle."""
+        the other's read-merge-write cycle, also when the index is in
+        the indented layout of earlier versions."""
         db1 = session.db
         db2 = Database(db1.root)
-        libelf, zlib = _concrete_specs(session, ["libelf", "zlib"])
+        libelf, zlib, bzip2 = _concrete_specs(session, ["libelf", "zlib", "bzip2"])
         db1.add(libelf, "/fake/libelf")   # db2's snapshot is now stale
         db2.add(zlib, "/fake/zlib")       # must merge, not clobber
         fresh = Database(db1.root)
         assert fresh.installed(libelf)
         assert fresh.installed(zlib)
+        with open(db1.index_path) as f:
+            data = json.load(f)
+        with open(db1.index_path, "w") as f:
+            json.dump(data, f, indent=1, sort_keys=True)
+        db1.add(bzip2, "/fake/bzip2")     # reads it, merges zlib in
+        assert db1.installed(zlib)
+        with open(db1.index_path) as f:
+            text = f.read()
+        assert "\n" not in text          # rewritten compact
+        assert set(json.loads(text)["installs"]) == {
+            libelf.dag_hash(), zlib.dag_hash(), bzip2.dag_hash()}
 
     def test_corrupt_index_mid_transaction_keeps_memory(self, session):
         db = session.db
@@ -59,6 +114,73 @@ class TestTransaction:
         with open(db.index_path) as f:
             data = json.load(f)
         assert set(data["installs"]) == {libelf.dag_hash(), zlib.dag_hash()}
+        # an idle transaction that finds garbage rewrites it just the same
+        with open(db.index_path, "w") as f:
+            f.write("{not json")
+        with db.transaction():
+            pass
+        with open(db.index_path) as f:
+            data = json.load(f)
+        assert set(data["installs"]) == {libelf.dag_hash(), zlib.dag_hash()}
+
+
+class TestTransactionCost:
+    """A transaction parses, serializes and writes only what changed
+    (counted calls, not time)."""
+
+    def test_idle_transaction_parses_and_writes_nothing(self, tmp_path, calls):
+        db = _filled(str(tmp_path))
+        calls.clear()
+        with db.transaction():
+            pass
+        assert calls["save"] == 0
+        assert calls["from_dict"] == 0
+
+    def test_mark_explicit_of_explicit_spec_writes_nothing(self, tmp_path, calls):
+        db = _filled(str(tmp_path))
+        spec = _fake_specs(1)[0]
+        db.mark_explicit(spec)
+        calls.clear()
+        db.mark_explicit(spec)
+        assert calls["save"] == 0
+        db.mark_explicit(spec, explicit=False)
+        assert calls["save"] == 1
+        assert Database(db.root).get(spec).explicit is False
+
+    def test_add_parses_nothing_and_serializes_one(self, tmp_path, calls):
+        db = _filled(str(tmp_path))
+        spec = _fake_specs(1, start=50)[0]
+        calls.clear()
+        db.add(spec, "/fake/new")
+        assert calls["from_dict"] == 0
+        assert calls["to_dict"] == 1
+        assert calls["save"] == 1
+        assert len(Database(db.root)) == 51
+
+    def test_second_writer_merged_parsing_only_its_record(self, tmp_path, calls):
+        db1 = _filled(str(tmp_path))
+        db2 = Database(db1.root)
+        spec = _fake_specs(1, start=50)[0]
+        db2.add(spec, "/fake/other")
+        calls.clear()
+        with db1.transaction():
+            pass
+        assert db1.installed(spec)
+        assert calls["from_dict"] == 1
+        assert calls["save"] == 0  # memory now equals the index
+
+    def test_write_race_record_merged_parsing_only_it(self, tmp_path, calls):
+        from repro.testing.faults import Fault, FaultInjector
+
+        db = _filled(str(tmp_path))
+        db.faults = FaultInjector()
+        db.faults.arm([Fault("db.write_race")])
+        calls.clear()
+        with db.transaction():
+            pass
+        assert FOREIGN_NAME in [r.spec.name for r in db.all_records()]
+        assert calls["from_dict"] == 1
+        assert len(Database(db.root)) == 51
 
 
 class TestThreadedWriters:

@@ -209,6 +209,30 @@ class TestParallelEquivalence:
         assert result.jobs == 3
 
 
+class TestBatchCommit:
+    def test_pushes_run_after_the_batch_commits(self, tmp_path, monkeypatch):
+        """At -j2 a completion batch's records commit before its
+        build-cache pushes: no push runs inside a database transaction,
+        so none holds the index lock while it packs a tarball."""
+        from repro.session import Session
+        from repro.store.buildcache import BuildCache
+
+        session = Session.create(str(tmp_path / "s"))
+        session.enable_buildcache(root=str(tmp_path / "cache"), push=True)
+        db = session.db
+        during_push = []
+        real_push = BuildCache.push
+
+        def push(cache, node, prefix, root):
+            during_push.append((db._txn_depth, db.lock.held))
+            return real_push(cache, node, prefix, root)
+
+        monkeypatch.setattr(BuildCache, "push", push)
+        _, result = session.install("mpileaks", jobs=2)
+        assert len(during_push) == len(result.built) == 6
+        assert set(during_push) == {(0, False)}
+
+
 class TestSchedulerTelemetry:
     def test_spans_gauge_and_worker_attribution(self, session):
         from repro.telemetry import MemorySink
