@@ -9,26 +9,23 @@ User-Controlled Software Environments in HPC*) that derived results
 keyed by content digest can be reused indefinitely without a
 correctness risk: change any input and the key changes with it.
 
-Layout (same locked read-merge-write discipline as
-:mod:`repro.store.buildcache`'s index, but sharded)::
+Layout: one self-verifying file per entry, and nothing else::
 
-    <root>/index/<kk>.json            {key: {root, dag_hash, entry}}
-    <root>/<kk>/<key>.json            serialized concrete spec (to_dict)
+    <root>/<kk>/<key>.json     the concrete DAG (Spec.to_dict) + its dag_hash
 
-where ``<kk>`` is the first two key characters (fanout).  The index is
-*sharded* by key prefix: a store rewrites one ~n/256-entry shard
-instead of the whole index, so warming a 10k-root universe is O(n) in
-index bytes rather than O(n²).  Payloads are content-addressed per
-entry so concurrent writers never rewrite each other's payloads, and
-every shard merge happens under one advisory
-:class:`~repro.util.lock.Lock`.  A legacy monolithic
-``<root>/index.json`` (the pre-shard layout) is migrated into shards
-once, on first access, under the same lock.
+where ``<kk>`` is the first two key characters (fanout).  A store
+writes that one file whole, by one rename, so it needs no lock and
+rewrites no other file: a reader sees the old file or the new one,
+never a torn one, and since concretization is a pure function of the
+key, two writers of one key leave one complete payload.  A missing
+file is a miss.
 
 Integrity is hash-first: a looked-up payload is deserialized and its
-``dag_hash`` recomputed; a mismatch against the indexed hash (bit rot,
-a truncated write, or the ``concretize.cache.corrupt`` fault) drops
-the entry and falls back to cold concretization.  Telemetry counters:
+``dag_hash`` recomputed; a mismatch against the recorded hash (bit rot,
+the ``concretize.cache.corrupt`` fault, or a payload of the older
+indexed layout, which records none) removes the file and falls back to
+cold concretization, which stores it again.  That layout's ``index/``,
+``index.json`` and ``.index.lock`` are ignored.  Telemetry counters:
 ``concretize.cache.hit`` / ``.miss`` / ``.invalidate``.
 """
 
@@ -39,7 +36,6 @@ import tempfile
 
 from repro.spec.spec import Spec
 from repro.util.filesystem import mkdirp
-from repro.util.lock import Lock
 
 
 def describe_package_class(cls):
@@ -133,11 +129,6 @@ class ConcretizationCache:
         self.root = os.path.abspath(root)
         self.telemetry = telemetry
         self.faults = faults
-        self._index_lock = Lock(os.path.join(self.root, ".index.lock"))
-        #: stat-validated parses, one per shard: {kk: ((mtime_ns, size),
-        #: dict)} — each value is one atomic pair so a concurrent reader
-        #: can't pair a fresh stamp with a stale parse
-        self._shard_memos = {}
 
     # -- keys --------------------------------------------------------------
     @staticmethod
@@ -146,107 +137,6 @@ class ConcretizationCache:
         environment digest, and the concretizer variant name."""
         blob = "%s\n%s\n%s" % (abstract_text, env_digest, variant)
         return hashlib.sha256(blob.encode()).hexdigest()
-
-    # -- index I/O (buildcache discipline, sharded) ------------------------
-    def _legacy_index_path(self):
-        return os.path.join(self.root, "index.json")
-
-    def _shard_dir(self):
-        return os.path.join(self.root, "index")
-
-    def _shard_path(self, kk):
-        return os.path.join(self._shard_dir(), "%s.json" % kk)
-
-    def _migrate_legacy(self):
-        """Fold a pre-shard monolithic ``index.json`` into the sharded
-        layout.  Runs at most once per on-disk cache (the legacy file is
-        removed after its entries land in their shards); the steady-state
-        cost is one ``os.path.exists`` stat."""
-        legacy_path = self._legacy_index_path()
-        if not os.path.exists(legacy_path):
-            return
-        mkdirp(self._shard_dir())
-        with self._index_lock:
-            if not os.path.exists(legacy_path):  # another session won
-                return
-            try:
-                with open(legacy_path) as f:
-                    legacy = json.load(f)
-            except (OSError, ValueError):
-                legacy = {}
-            by_shard = {}
-            for key, entry in legacy.items():
-                by_shard.setdefault(key[:2], {})[key] = entry
-            for kk, entries in sorted(by_shard.items()):
-                merged = self._read_shard_unmemoized(kk)
-                # shard entries win: they are newer than the legacy file
-                merged = dict(entries, **merged)
-                self._atomic_write(
-                    self._shard_path(kk),
-                    json.dumps(merged, indent=1, sort_keys=True).encode(),
-                )
-            os.remove(legacy_path)
-            self._shard_memos = {}
-
-    def _read_shard_unmemoized(self, kk):
-        try:
-            with open(self._shard_path(kk)) as f:
-                return json.load(f)
-        except (OSError, ValueError):
-            return {}
-
-    def read_shard(self, kk):
-        """{key: {root, dag_hash, entry}} for one shard — empty when
-        absent.  The parsed shard is reused until the file's (mtime,
-        size) changes, so steady-state lookups do one ``stat`` instead
-        of a full read+parse."""
-        path = self._shard_path(kk)
-        try:
-            st = os.stat(path)
-            stamp = (st.st_mtime_ns, st.st_size)
-        except OSError:
-            self._shard_memos.pop(kk, None)
-            return {}
-        memo = self._shard_memos.get(kk)  # one read: writers can't tear it
-        if memo is not None and memo[0] == stamp:
-            return memo[1]
-        try:
-            with open(path) as f:
-                shard = json.load(f)
-        except (OSError, ValueError):
-            return {}
-        self._shard_memos[kk] = (stamp, shard)
-        return shard
-
-    def read_index(self):
-        """The merged {key: entry} view across every shard.  O(total
-        entries) — diagnostics and tests only; the hot paths read one
-        shard."""
-        self._migrate_legacy()
-        index = {}
-        try:
-            shard_files = sorted(os.listdir(self._shard_dir()))
-        except OSError:
-            return index
-        for name in shard_files:
-            if name.endswith(".json"):
-                index.update(self.read_shard(name[:-len(".json")]))
-        return index
-
-    def _update_shard(self, kk, mutate):
-        """Read-merge-write one shard under the cache lock; racing
-        sessions never lose each other's entries, and the bytes written
-        scale with the shard (~n/256), not the whole index."""
-        self._migrate_legacy()
-        mkdirp(self._shard_dir())
-        with self._index_lock:
-            shard = dict(self._read_shard_unmemoized(kk))
-            mutate(shard)
-            self._atomic_write(
-                self._shard_path(kk),
-                json.dumps(shard, indent=1, sort_keys=True).encode(),
-            )
-            self._shard_memos.pop(kk, None)  # force re-stat on next read
 
     @staticmethod
     def _atomic_write(path, data):
@@ -279,7 +169,6 @@ class ConcretizationCache:
 
     def _drop(self, key):
         """Remove a bad entry (corrupt payload or stale hash)."""
-        self._update_shard(key[:2], lambda shard: shard.pop(key, None))
         try:
             os.remove(self._entry_path(key))
         except OSError:
@@ -291,39 +180,31 @@ class ConcretizationCache:
         """The cached concrete Spec for ``key``, or None.
 
         Every hit is verified: the payload is deserialized and its DAG
-        hash recomputed against the indexed one, so corruption — real or
-        injected through the ``concretize.cache.corrupt`` fault site —
-        is caught here and answered by dropping the entry (the caller
-        then re-concretizes from scratch).  Returns a fresh Spec per
-        call; callers own (and may mutate) the result.
+        hash recomputed against the one recorded beside it, so
+        corruption — real or injected through the
+        ``concretize.cache.corrupt`` fault site — is caught here and
+        answered by removing the file (the caller then re-concretizes
+        from scratch).  Returns a fresh Spec per call; callers own (and
+        may mutate) the result.
         """
-        self._migrate_legacy()
-        entry = self.read_shard(key[:2]).get(key)
-        if entry is None:
-            self._count("miss")
-            return None
         try:
             with open(self._entry_path(key), "rb") as f:
                 payload = f.read()
         except OSError:
-            self._drop(key)
             self._count("miss")
             return None
-        if self.faults is not None:
-            fault = self.faults.hit(
-                "concretize.cache.corrupt", target=entry.get("root")
-            )
-            if fault is not None:
-                # rot the payload the way a torn write would
-                payload = payload[: max(0, len(payload) // 2)] + b'{"rot":1}'
         try:
-            spec = Spec.from_dict(json.loads(payload.decode()))
-            dag_hash = spec.dag_hash()
+            data = json.loads(payload)
+            if self.faults is not None and self.faults.hit(
+                "concretize.cache.corrupt", target=data.get("root")
+            ) is not None:
+                # rot the payload the way a torn write would
+                data = json.loads(payload[: len(payload) // 2] + b'{"rot":1}')
+            spec = Spec.from_dict(data)
+            intact = spec.dag_hash() == data.get("dag_hash")
         except Exception:
-            self._drop(key)
-            self._count("miss")
-            return None
-        if dag_hash != entry.get("dag_hash"):
+            intact = False
+        if not intact:
             self._drop(key)
             self._count("miss")
             return None
@@ -331,23 +212,38 @@ class ConcretizationCache:
         return spec
 
     def store(self, key, spec):
-        """Persist a concrete spec under ``key`` (payload first, then the
-        index entry, so a reader never sees an indexed-but-missing
-        payload)."""
-        entry_path = self._entry_path(key)
-        mkdirp(os.path.dirname(entry_path))
-        payload = json.dumps(spec.to_dict(), sort_keys=True, indent=1)
-        self._atomic_write(entry_path, payload.encode())
-        entry = {
-            "root": spec.name,
-            "dag_hash": spec.dag_hash(),
-            "entry": os.path.join(key[:2], "%s.json" % key),
-        }
-        self._update_shard(key[:2], lambda shard: shard.__setitem__(key, entry))
+        """Persist a concrete spec and its DAG hash under ``key``, as one
+        file written whole."""
+        path = self._entry_path(key)
+        payload = dict(spec.to_dict(), dag_hash=spec.dag_hash())
+        data = json.dumps(payload, sort_keys=True).encode()
+        try:
+            self._atomic_write(path, data)
+        except FileNotFoundError:  # the first entry of its fanout directory
+            mkdirp(os.path.dirname(path))
+            self._atomic_write(path, data)
 
     def entries(self):
-        """(key, entry) pairs, deterministically ordered."""
-        return sorted(self.read_index().items())
+        """(key, {"entry": path under the root}) pairs, sorted: a scan of
+        every fanout directory, for tests and diagnostics."""
+        pairs = []
+        try:
+            fanouts = os.listdir(self.root)
+        except OSError:
+            return pairs
+        for kk in fanouts:
+            if len(kk) != 2:  # the older layout's index files
+                continue
+            try:
+                names = os.listdir(os.path.join(self.root, kk))
+            except OSError:
+                continue
+            pairs.extend(
+                (name[: -len(".json")], {"entry": os.path.join(kk, name)})
+                for name in names
+                if name.endswith(".json")
+            )
+        return sorted(pairs)
 
     def __len__(self):
-        return len(self.read_index())
+        return len(self.entries())

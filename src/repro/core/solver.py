@@ -118,7 +118,8 @@ class _Variable:
     """One decision: a key, a forcing domain, and per-index bound costs.
 
     ``domain[0]`` is always None ("greedy decides"); ``domain[i >= 1]``
-    is a constraint Spec merged into the candidate.  ``costs[i]`` is the
+    is the text of a constraint merged into the candidate, parsed only
+    when an assignment uses it.  ``costs[i]`` is the
     assignment's *lower bound* contribution — exact whenever the forced
     choice is actually used, and never above the true objective term (the
     branch-and-bound soundness requirement).
@@ -129,7 +130,7 @@ class _Variable:
     def __init__(self, key, target, domain, costs, influence):
         self.key = key
         self.target = target        # package name the force applies to
-        self.domain = domain        # [None, Spec, Spec, ...]
+        self.domain = domain        # [None, str, str, ...]
         self.costs = costs          # [0, int, int, ...]
         self.influence = influence  # frozenset of package/virtual names
 
@@ -325,8 +326,7 @@ class SolverConcretizer(Concretizer):
                 continue
             if self._is_virtual(name):
                 virtuals.add(name)
-                for provider in self.provider_index.providers_for(Spec(name=name)):
-                    stack.append(provider.name)
+                stack.extend(self.provider_index.providers_for_name(name))
                 continue
             if not self.repo.exists(name):
                 continue
@@ -358,7 +358,7 @@ class SolverConcretizer(Concretizer):
             names = sorted(ranks, key=ranks.get)
             if len(names) < 2:
                 continue
-            domain = [None] + [Spec(name=n) for n in names[1:]]
+            domain = [None] + names[1:]
             costs = [0] + [i * W_PROVIDER for i in range(1, len(names))]
             influence = frozenset().union(
                 {vname}, *(self._influence(n) for n in names)
@@ -371,9 +371,7 @@ class SolverConcretizer(Concretizer):
             cls = self.repo.get_class(pname)
             order = self._version_preference(pname, cls)
             if len(order) > 1:
-                domain = [None] + [
-                    Spec("%s@%s" % (pname, v)) for v in order[1:]
-                ]
+                domain = [None] + ["%s@%s" % (pname, v) for v in order[1:]]
                 costs = [0] + [i * W_STEP for i in range(1, len(order))]
                 variables.append(_Variable(
                     ("version", pname), pname, domain, costs,
@@ -387,7 +385,7 @@ class SolverConcretizer(Concretizer):
                 flip = "~" if default else "+"
                 variables.append(_Variable(
                     ("variant", pname, vname), pname,
-                    [None, Spec("%s%s%s" % (pname, flip, vname))],
+                    [None, "%s%s%s" % (pname, flip, vname)],
                     [0, W_STEP], self._influence(pname),
                 ))
 
@@ -408,9 +406,7 @@ class SolverConcretizer(Concretizer):
                     costs = [0] + [
                         W_CDEP + i * W_STEP for i in range(len(options))
                     ]
-                domain = [None] + [
-                    Spec("%s%%%s" % (pname, text)) for text in options
-                ]
+                domain = [None] + ["%s%%%s" % (pname, text) for text in options]
                 variables.append(_Variable(
                     ("compiler", pname), pname, domain, costs,
                     self._influence(pname),
@@ -497,7 +493,7 @@ class SolverConcretizer(Concretizer):
             variable.costs[i]
             for i, choice in enumerate(variable.domain)
             if choice is not None
-            and choice.compiler.satisfies(node.compiler)
+            and Spec(choice).compiler.satisfies(node.compiler)
         ]
         return min(candidates) if candidates else 0
 
@@ -507,14 +503,14 @@ class SolverConcretizer(Concretizer):
         candidate = abstract_spec.copy()
         for position, index in sorted(assignment.items()):
             variable = variables[position]
-            force = variable.domain[index]
+            force = Spec(variable.domain[index])
             flat = candidate.flat_dependencies()
             if force.name == candidate.name:
                 candidate.constrain(force, deps=False)
             elif force.name in flat:
                 flat[force.name].constrain(force, deps=False)
             else:
-                candidate._add_dependency(force.copy())
+                candidate._add_dependency(force)
         return candidate
 
     # -- conflict analysis --------------------------------------------------

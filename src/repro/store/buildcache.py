@@ -190,7 +190,7 @@ class BuildCache:
             index[dag_hash] = entry
             self._atomic_write(
                 self._index_path(),
-                json.dumps(index, indent=1, sort_keys=True).encode(),
+                json.dumps(index, sort_keys=True).encode(),
             )
 
     @staticmethod
@@ -269,7 +269,7 @@ class BuildCache:
         }
         self._atomic_write(
             self.sidecar_path(dag_hash),
-            json.dumps(sidecar, indent=1, sort_keys=True).encode(),
+            json.dumps(sidecar, sort_keys=True).encode(),
         )
         self._update_index(
             dag_hash,

@@ -125,9 +125,10 @@ class TestNoConcretizeCacheFlag:
             capsys, "--root", root, "spec", "--no-concretize-cache", "mpileaks"
         )
         assert warm_out.split("Concretized")[1] == cold_out.split("Concretized")[1]
-        # the default path persisted an entry for the warm run
-        shard_dir = os.path.join(root, "cache", "concretize", "index")
-        assert os.path.isdir(shard_dir) and os.listdir(shard_dir)
+        # the default path persisted one payload file for the warm run
+        cache_root = os.path.join(root, "cache", "concretize")
+        payloads = [n for _, _, names in os.walk(cache_root) for n in names]
+        assert len(payloads) == 1 and payloads[0].endswith(".json")
 
 
 class TestFindByHashAndLocation:

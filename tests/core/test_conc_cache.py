@@ -175,19 +175,19 @@ class TestIntegrity:
         assert tsession.concretize("libdwarf").concrete
         assert len(cache) == 1
 
-    def test_stale_hash_is_dropped(self, tmp_path):
-        cache = ConcretizationCache(str(tmp_path / "cc"))
+    def test_stale_hash_is_dropped(self, tmp_path, hub):
+        cache = ConcretizationCache(str(tmp_path / "cc"), telemetry=hub)
         spec = Spec("libelf@0.8.13%gcc@4.9.2=linux-x86_64")
         spec._concrete = True
         key = ConcretizationCache.make_key("libelf", "d" * 64, "greedy")
         cache.store(key, spec)
-        shard = dict(cache.read_shard(key[:2]))
-        shard[key]["dag_hash"] = "0" * 32
-        cache._atomic_write(
-            cache._shard_path(key[:2]), json.dumps(shard).encode()
-        )
-        cache._shard_memos = {}
+        path = cache._entry_path(key)
+        with open(path) as f:
+            payload = json.load(f)
+        payload["dag_hash"] = "0" * 32
+        cache._atomic_write(path, json.dumps(payload).encode())
         assert cache.lookup(key) is None
+        assert hub.counter("concretize.cache.invalidate") == 1
         assert len(cache) == 0
 
 
@@ -224,9 +224,11 @@ class TestCacheMechanics:
 
 class TestShardedIndex:
     """Regression: the index was one monolithic ``index.json`` rewritten
-    in full on every store — warming n roots rewrote O(n²) index bytes.
-    Sharding by key prefix keeps the bytes-per-store flat, and a legacy
-    monolithic index migrates into shards on first access."""
+    in full on every store (O(n²) bytes while warming n roots), then
+    sharded by key prefix, which still cost every store a lock and a
+    shard rewrite.  Now each entry is one self-verifying file: a store
+    writes exactly that file, and a cache the indexed layouts left reads
+    as misses that the cold path rewrites."""
 
     @staticmethod
     def _concrete_spec():
@@ -234,66 +236,84 @@ class TestShardedIndex:
         spec._concrete = True
         return spec
 
-    def test_bytes_per_store_stay_flat_as_entries_grow(self, tmp_path):
+    def test_bytes_per_store_stay_flat_as_entries_grow(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.util.lock import Lock
+
         cache = ConcretizationCache(str(tmp_path / "cc"))
         spec = self._concrete_spec()
-        index_writes = []
+        writes = []
         real_write = cache._atomic_write
 
         def counting_write(path, data):
-            if os.sep + "index" in path or os.path.basename(path).startswith(
-                "index"
-            ):
-                index_writes.append(len(data))
-            return real_write(path, data)
+            # counted once written: the first store into a new fanout
+            # directory fails before it creates anything, then retries
+            real_write(path, data)
+            writes.append((path, len(data)))
+
+        def no_lock(self, *args, **kwargs):
+            raise AssertionError("a store took a lock")
 
         cache._atomic_write = counting_write
+        monkeypatch.setattr(Lock, "acquire", no_lock)
         total = 512
         for i in range(total):
             key = ConcretizationCache.make_key("spec-%d" % i, "0" * 64, "greedy")
+            before = len(writes)
             cache.store(key, spec)
-        assert len(index_writes) == total
-        head = sum(index_writes[:64]) / 64.0
-        tail = sum(index_writes[-64:]) / 64.0
-        # pre-fix the whole index was rewritten per store, so the last
-        # writes were ~8x the first; sharded writes stay near-constant
-        assert tail < 3.0 * head, (head, tail)
+            # one file per store: its own payload, nothing shared
+            assert [path for path, _ in writes[before:]] == [
+                cache._entry_path(key)
+            ]
+        # so the bytes per store do not grow with the entry count
+        assert len({size for _, size in writes}) == 1
+        files = [name for _, _, names in os.walk(cache.root) for name in names]
+        assert len(files) == total
         assert len(cache) == total
 
-    def test_legacy_monolithic_index_migrates(self, tmp_path):
-        root = str(tmp_path / "cc")
-        cache = ConcretizationCache(root)
-        spec = self._concrete_spec()
-        keys = [
+    def test_legacy_monolithic_index_migrates(self, tsession, hub):
+        cache = tsession.concretize_cache
+        cold = tsession.concretize("libdwarf", use_cache=False)
+        state = tsession.snapshots.current()
+        key = state.cache_key(Spec("libdwarf"), state.variant())
+        keys = [key] + [
             ConcretizationCache.make_key("legacy-%d" % i, "0" * 64, "greedy")
             for i in range(8)
         ]
-        # lay out the pre-shard format by hand: per-entry payloads plus
-        # one monolithic index.json, exactly what older caches left
-        legacy = {}
-        for key in keys:
-            entry_path = cache._entry_path(key)
+        # lay out the indexed format by hand: bare to_dict payloads,
+        # index/<kk>.json shards and a monolithic index.json, exactly
+        # what older caches left
+        index = {}
+        for k in keys:
+            entry_path = cache._entry_path(k)
             os.makedirs(os.path.dirname(entry_path), exist_ok=True)
             with open(entry_path, "w") as f:
-                json.dump(spec.to_dict(), f, sort_keys=True)
-            legacy[key] = {
-                "root": spec.name,
-                "dag_hash": spec.dag_hash(),
-                "entry": os.path.join(key[:2], "%s.json" % key),
+                json.dump(cold.to_dict(), f, indent=1, sort_keys=True)
+            index[k] = {
+                "root": cold.name,
+                "dag_hash": cold.dag_hash(),
+                "entry": os.path.join(k[:2], "%s.json" % k),
             }
-        with open(os.path.join(root, "index.json"), "w") as f:
-            json.dump(legacy, f)
+        os.makedirs(os.path.join(cache.root, "index"))
+        for k, entry in index.items():
+            with open(os.path.join(cache.root, "index", k[:2] + ".json"), "w") as f:
+                json.dump({k: entry}, f)
+        with open(os.path.join(cache.root, "index.json"), "w") as f:
+            json.dump(index, f)
+        open(os.path.join(cache.root, ".index.lock"), "w").close()
 
-        fresh = ConcretizationCache(root)
-        hit = fresh.lookup(keys[0])
-        assert hit is not None and hit.dag_hash() == spec.dag_hash()
-        # the legacy file was folded into shards and removed
-        assert not os.path.exists(os.path.join(root, "index.json"))
-        assert {k for k, _ in fresh.entries()} == set(keys)
-        # a store after migration keeps every migrated entry visible
-        extra = ConcretizationCache.make_key("post", "0" * 64, "greedy")
-        fresh.store(extra, spec)
-        assert {k for k, _ in fresh.entries()} == set(keys) | {extra}
+        # a payload without its dag_hash is a miss, never an error
+        for k in keys[1:]:
+            assert cache.lookup(k) is None
+        assert hub.counter("concretize.cache.miss") == len(keys) - 1
+        assert hub.counter("concretize.cache.invalidate") == len(keys) - 1
+        # the cold path re-stores the entry, which then hits
+        assert tsession.concretize("libdwarf").dag_hash() == cold.dag_hash()
+        assert hub.counter("concretize.cache.invalidate") == len(keys)
+        hit = cache.lookup(key)
+        assert hit is not None and hit.dag_hash() == cold.dag_hash()
+        assert [k for k, _ in cache.entries()] == [key]
 
 
 class TestConcurrentWriters:

@@ -155,6 +155,37 @@ class TestRescues:
         assert solver.last_proven_optimal
 
 
+class TestChoiceSpace:
+    def test_choice_variables_construct_no_spec(self, session, monkeypatch):
+        """Regression: the choice space parsed a constraint Spec for every
+        version, variant flip, compiler and provider of every reachable
+        package before greedy's assignment was evaluated, though one
+        assignment forces a handful.  The domains keep the constraint
+        text, and _materialize parses what an assignment forces."""
+        _, solver = _stack(session.repo)
+        abstract = Spec("mpileaks")
+        # the first call memoizes the provider rankings, which the
+        # policy computes over candidate provider Specs
+        solver._choice_variables(abstract)
+        constructed = []
+        real_init = Spec.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(args or kwargs)
+            real_init(self, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Spec, "__init__", counting_init)
+            variables = solver._choice_variables(abstract)
+        assert constructed == []
+        assert {v.key[0] for v in variables} == {
+            "provider", "version", "variant", "compiler"
+        }
+        for v in variables:
+            assert v.domain[0] is None
+            assert all(isinstance(choice, str) for choice in v.domain[1:])
+
+
 class TestOptimality:
     def test_exhaustive_enumeration_on_corpus(self):
         """Ground truth: over the *entire* deviation space, no
