@@ -32,10 +32,9 @@ cold concretization, which stores it again.  That layout's ``index/``,
 import hashlib
 import json
 import os
-import tempfile
 
 from repro.spec.spec import Spec
-from repro.util.filesystem import mkdirp
+from repro.util.filesystem import atomic_write, mkdirp
 
 
 def describe_package_class(cls):
@@ -138,27 +137,6 @@ class ConcretizationCache:
         blob = "%s\n%s\n%s" % (abstract_text, env_digest, variant)
         return hashlib.sha256(blob.encode()).hexdigest()
 
-    @staticmethod
-    def _atomic_write(path, data):
-        # the tmp name must be unique per *writer*, not per process: two
-        # daemon worker threads share a pid, and a fixed name lets one
-        # writer truncate (or os.replace away) the other's half-written
-        # file.  mkstemp gives each call its own exclusively-created file.
-        fd, tmp = tempfile.mkstemp(
-            prefix=os.path.basename(path) + ".", suffix=".tmp",
-            dir=os.path.dirname(path),
-        )
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-            raise
-
     # -- payloads ----------------------------------------------------------
     def _entry_path(self, key):
         return os.path.join(self.root, key[:2], "%s.json" % key)
@@ -184,8 +162,9 @@ class ConcretizationCache:
         corruption — real or injected through the
         ``concretize.cache.corrupt`` fault site — is caught here and
         answered by removing the file (the caller then re-concretizes
-        from scratch).  Returns a fresh Spec per call; callers own (and
-        may mutate) the result.
+        from scratch).  Returns a new frozen Spec per call (what
+        ``Spec.from_dict`` makes of a concrete payload), ready to be
+        shared; ``copy()`` it to mutate.
         """
         try:
             with open(self._entry_path(key), "rb") as f:
@@ -218,10 +197,10 @@ class ConcretizationCache:
         payload = dict(spec.to_dict(), dag_hash=spec.dag_hash())
         data = json.dumps(payload, sort_keys=True).encode()
         try:
-            self._atomic_write(path, data)
+            atomic_write(path, data)
         except FileNotFoundError:  # the first entry of its fanout directory
             mkdirp(os.path.dirname(path))
-            self._atomic_write(path, data)
+            atomic_write(path, data)
 
     def entries(self):
         """(key, {"entry": path under the root}) pairs, sorted: a scan of

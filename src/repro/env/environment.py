@@ -266,8 +266,6 @@ class Environment:
         unified = self.concretize(session, jobs=jobs)
         results = []
         for text, concrete in unified.roots:
-            concrete_result = session.install(
-                concrete.copy(), jobs=jobs, **kwargs
-            )
+            concrete_result = session.install(concrete, jobs=jobs, **kwargs)
             results.append((text,) + tuple(concrete_result))
         return unified, results

@@ -57,8 +57,6 @@ class ExtensionManager:
         extendee_pkg = self.session.package_for(extendee)
         if not extendee_pkg.extendable:
             raise ExtensionError("%s is not extendable" % extendee.name)
-        ext.prefix = self.session.store.layout.path_for_spec(ext)
-        extendee.prefix = self.session.store.layout.path_for_spec(extendee)
         return extendee_pkg, ext_pkg
 
     # -- operations -----------------------------------------------------------

@@ -22,7 +22,7 @@ import hashlib
 import os
 import threading
 
-from repro.util.filesystem import mkdirp
+from repro.util.filesystem import atomic_write, mkdirp
 from repro.util.lock import Lock
 
 
@@ -66,10 +66,7 @@ class FetchCache:
         """
         mkdirp(self.root)
         path = self.path_for(url, digest)
-        tmp = "%s.%d.%d.tmp" % (path, os.getpid(), threading.get_ident())
-        with open(tmp, "wb") as f:
-            f.write(content)
-        os.replace(tmp, path)
+        atomic_write(path, content)
         return path
 
     def url_lock(self, url, digest=None):

@@ -9,11 +9,16 @@ over a bounded worker pool.  The moving parts:
   session's :class:`~repro.service.snapshot.StateSnapshot` current at
   dispatch time; a mid-flight package/config mutation forks a new
   snapshot for *later* requests and never disturbs in-flight ones.
+* **Shared answers** — every concrete spec the snapshot publishes is
+  frozen, so each request gets the snapshot's object itself, never a
+  copy; a repeated text that fails re-raises the memoized typed error
+  without a cold solve, and ``spack_spec`` builds a master's response
+  body once (only ``concretizer`` and ``env_digest`` are per request).
+  A caller that needs a mutable DAG takes ``copy()``.
 * **Request batching** — a thundering herd of requests for the same
   (spec, digest, variant) cache key concretizes **once**: the first
   requester becomes the leader, followers park on an event and share the
-  leader's result (each still gets a private copy).  Counted on
-  ``service.batch.coalesced``.
+  leader's frozen result.  Counted on ``service.batch.coalesced``.
 * **Per-request traces** — each request runs under a root
   ``service.request`` span on its worker thread, so one request is one
   single-rooted trace (the PR-6 analysis machinery applies unchanged);
@@ -28,6 +33,7 @@ over a bounded worker pool.  The moving parts:
 import itertools
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.core import UnknownConcretizerError
@@ -86,6 +92,9 @@ class ServiceDaemon:
         self._served = 0
         self._errors = 0
         self.coalesced = 0
+        #: id(frozen master) -> (weakref to it, its spack_spec body); an
+        #: entry lives exactly as long as the master it renders
+        self._bodies = {}
         self._started = time.time()
         self.shutdown_event = threading.Event()
 
@@ -174,7 +183,7 @@ class ServiceDaemon:
             self.session.telemetry.count("service.batch.coalesced")
         if batch.error is not None:
             raise batch.error
-        return batch.result.copy()
+        return batch.result
 
     # -- endpoints ---------------------------------------------------------
     def _ep_spack_list(self, query=None):
@@ -192,8 +201,17 @@ class ServiceDaemon:
     def _ep_spack_spec(self, spec, concretizer=None):
         snapshot = self.snapshots.current()
         variant = snapshot.variant(concretizer)
-        concrete = self._concretize(snapshot, spec, variant)
-        return {
+        body = self._spec_body(self._concretize(snapshot, spec, variant))
+        return dict(body, concretizer=variant, env_digest=snapshot.env_digest)
+
+    def _spec_body(self, concrete):
+        """The request-independent part of a ``spack_spec`` response,
+        rendered once per frozen master and kept while it lives."""
+        key = id(concrete)
+        entry = self._bodies.get(key)
+        if entry is not None and entry[0]() is concrete:
+            return entry[1]
+        body = {
             "spec": str(concrete),
             "dag_hash": concrete.dag_hash(),
             "tree": concrete.tree(),
@@ -203,9 +221,14 @@ class ServiceDaemon:
                  "dag_hash": node.dag_hash()}
                 for node in concrete.traverse()
             ],
-            "concretizer": variant,
-            "env_digest": snapshot.env_digest,
         }
+        if concrete.frozen:
+            bodies = self._bodies
+            bodies[key] = (
+                weakref.ref(concrete, lambda _ref: bodies.pop(key, None)),
+                body,
+            )
+        return body
 
     def _ep_spack_install(self, spec, concretizer=None, jobs=None,
                           use_cache=None, use_splice=None):

@@ -20,7 +20,9 @@ unification and every daemon endpoint answer from it:
 
 :meth:`StateSnapshot.concretize` is the one concretization pipeline:
 the snapshot's bounded memo, then the persistent cache, then a cold run
-of the requested variant from :data:`repro.core.CONCRETIZERS`.
+of the requested variant from :data:`repro.core.CONCRETIZERS`.  Every
+answer it publishes is frozen (:meth:`~repro.spec.spec.Spec.freeze`) and
+shared by reference; a typed error it raises is memoized too.
 
 Snapshots are cheap to fork: package *classes* are shared by reference
 (they are immutable directive state), the config is one deep-copied
@@ -40,6 +42,7 @@ from repro.config.config import Config, ConfigError
 from repro.core import CONCRETIZERS, concretizer_variant
 from repro.core.conc_cache import ConcretizationCache, EnvironmentDigest
 from repro.core.policies import DefaultPolicy
+from repro.errors import ReproError
 from repro.repo.providers import ProviderIndex
 from repro.repo.repository import NoSuchPackageError
 from repro.spec.spec import Spec
@@ -153,8 +156,9 @@ class StateSnapshot:
         #: the shared persistent cache (thread-safe; may be None)
         self.conc_cache = session.concretize_cache
         self._env_digest = None
-        #: cache key -> concrete Spec (master copy), least recently used
-        #: first; guarded — many worker threads share one snapshot
+        #: cache key -> frozen concrete Spec, or the detached typed error
+        #: its cold run raised; least recently used first; guarded —
+        #: many worker threads share one snapshot
         self._memo = OrderedDict()
         self._lock = threading.Lock()
 
@@ -198,7 +202,7 @@ class StateSnapshot:
         return ConcretizationCache.make_key(str(spec), digest, variant)
 
     def concretize(self, spec, variant=None, database=None, use_cache=True):
-        """Concretize against this snapshot; returns a fresh Spec.
+        """Concretize against this snapshot; returns a frozen Spec.
 
         ``variant`` is resolved by :meth:`variant`; ``database`` is the
         installed set a reusing variant reads.  Served from the snapshot
@@ -213,6 +217,14 @@ class StateSnapshot:
         request finds it there (with no persistent cache, at once).  The
         memo then holds what is asked for again, and a stream of one-off
         requests costs it no memory.
+
+        Every answer is frozen and shared, never copied: a memo hit
+        returns the master itself, a disk hit the spec it admits.  A
+        caller that needs to change one takes ``copy()``.  A typed error
+        (:class:`~repro.errors.ReproError`) of the cold run is as much a
+        function of the key as an answer: the memo keeps it at once, in
+        memory only, and a repeat raises the same type and message
+        without running the concretizer.
         """
         if isinstance(spec, str):
             spec = Spec(spec)
@@ -226,16 +238,22 @@ class StateSnapshot:
                 self._memo.move_to_end(key)
         if master is not None:
             self.telemetry.count("concretize.cache.hit")
-            return master.copy()
+            if isinstance(master, ReproError):
+                raise _detached(master)
+            return master
         cached = self._lookup(key, spec, variant)
         if cached is not None:
             self._remember(key, cached)
-            return cached.copy()
-        concrete = self._concretize_cold(spec, variant, database)
+            return cached
+        try:
+            concrete = self._concretize_cold(spec, variant, database)
+        except ReproError as e:
+            self._remember(key, _detached(e))
+            raise
         if self.conc_cache is not None:
             self.conc_cache.store(key, concrete)
         else:
-            self._remember(key, concrete.copy())
+            self._remember(key, concrete)
         return concrete
 
     def _lookup(self, key, spec, variant):
@@ -259,7 +277,7 @@ class StateSnapshot:
             self.telemetry.count("concretize.cache.evict")
 
     def _concretize_cold(self, spec, variant, database=None):
-        return self.concretizer(variant, database).concretize(spec)
+        return self.concretizer(variant, database).concretize(spec).freeze()
 
     def forget(self):
         """Drop the memo (the persistent cache is untouched)."""
@@ -314,6 +332,23 @@ class StateSnapshot:
         return "StateSnapshot(%s, %d packages)" % (
             self.env_digest[:12], len(self.repo),
         )
+
+
+def _detached(error):
+    """A new instance of ``error``'s class with its args and attributes,
+    and no traceback, context or cause.
+
+    The memo keeps such a copy, never the raised instance, whose
+    traceback would keep the cold run's frames alive; each repeat raises
+    a fresh one, so the kept copy never gains a traceback either.
+    ``__init__`` is not re-run: subclasses that take structured
+    arguments (``NoSatisfyingVersionError``, the ``Unsatisfiable*``
+    family) hand ``Exception`` only their message.
+    """
+    cls = type(error)
+    clone = cls.__new__(cls, *error.args)
+    clone.__dict__.update(error.__dict__)
+    return clone
 
 
 class SnapshotManager:

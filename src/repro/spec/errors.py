@@ -100,3 +100,19 @@ class UnknownVariantError(SpecError):
 
 class InvalidDependencyError(SpecError):
     """A ^dependency constraint names a package the root cannot reach."""
+
+
+class FrozenSpecError(SpecError):
+    """A write to a frozen (published, shared) concrete spec node.
+
+    Concretization results are frozen and handed out by reference; a
+    caller that needs to change one works on ``spec.copy()``.
+    """
+
+    def __init__(self, spec_name, what):
+        super().__init__(
+            "Cannot change %s of frozen spec %s; copy() it first"
+            % (what, spec_name)
+        )
+        self.spec_name = spec_name
+        self.what = what

@@ -142,51 +142,43 @@ class CompilerSpec:
         return "CompilerSpec(%r)" % str(self)
 
 
+def _owner_write(method):
+    """Wrap a :class:`VariantMap` mutator: refuse it when the owning Spec
+    is frozen, and invalidate the owner's caches after it."""
+
+    def write(self, *args, **kwargs):
+        ref = self._owner_ref
+        owner = ref() if ref is not None else None
+        if owner is not None and owner._frozen:
+            raise err.FrozenSpecError(owner.name, "variants")
+        result = method(self, *args, **kwargs)
+        if owner is not None:
+            owner.invalidate_caches()
+        return result
+
+    return write
+
+
 class VariantMap(dict):
     """Named boolean build options on one spec node (§3.2.3, "Variants").
 
     The map may be *owned* by a Spec node: mutating an owned map
     invalidates the owner's cached reprs/hashes (see
     :meth:`Spec.invalidate_caches`), so direct ``spec.variants[x] = True``
-    writes cannot leave stale cached state behind.
+    writes cannot leave stale cached state behind, and is refused with
+    :class:`~repro.spec.errors.FrozenSpecError` once the owner is frozen.
     """
 
     def __init__(self, owner=None):
         super().__init__()
         self._owner_ref = weakref.ref(owner) if owner is not None else None
 
-    def _touch(self):
-        ref = self._owner_ref
-        if ref is not None:
-            owner = ref()
-            if owner is not None:
-                owner.invalidate_caches()
-
-    def __setitem__(self, name, value):
-        super().__setitem__(name, value)
-        self._touch()
-
-    def __delitem__(self, name):
-        super().__delitem__(name)
-        self._touch()
-
-    def update(self, *args, **kwargs):
-        super().update(*args, **kwargs)
-        self._touch()
-
-    def pop(self, *args):
-        result = super().pop(*args)
-        self._touch()
-        return result
-
-    def clear(self):
-        super().clear()
-        self._touch()
-
-    def setdefault(self, name, default=None):
-        result = super().setdefault(name, default)
-        self._touch()
-        return result
+    __setitem__ = _owner_write(dict.__setitem__)
+    __delitem__ = _owner_write(dict.__delitem__)
+    update = _owner_write(dict.update)
+    pop = _owner_write(dict.pop)
+    clear = _owner_write(dict.clear)
+    setdefault = _owner_write(dict.setdefault)
 
     def satisfies(self, other, strict=False):
         for name, value in other.items():
@@ -251,10 +243,17 @@ class _DependencyMap(dict):
         #: name -> frozenset of dependency types for that edge
         self._edge_types = {}
 
+    def _writable_owner(self):
+        """The owning Spec, refusing any edge write once it is frozen."""
+        owner = self._owner_ref()
+        if owner is not None and owner._frozen:
+            raise err.FrozenSpecError(owner.name, "dependencies")
+        return owner
+
     def __setitem__(self, name, dep):
+        owner = self._writable_owner()
         super().__setitem__(name, dep)
         self._edge_types.setdefault(name, frozenset(DEFAULT_DEPTYPES))
-        owner = self._owner_ref()
         if owner is not None:
             if isinstance(dep, Spec):
                 dep._register_parent(owner)
@@ -263,10 +262,10 @@ class _DependencyMap(dict):
             owner.invalidate_caches()
 
     def __delitem__(self, name):
+        owner = self._writable_owner()
         dep = self.get(name)
         super().__delitem__(name)
         self._edge_types.pop(name, None)
-        owner = self._owner_ref()
         if owner is not None:
             if isinstance(dep, Spec):
                 dep._dependents.pop(id(owner), None)
@@ -275,8 +274,9 @@ class _DependencyMap(dict):
     # -- typed-edge API -----------------------------------------------------
     def set_edge(self, name, dep, deptypes):
         """Insert (or repoint) an edge with explicit dependency types."""
-        self._edge_types[name] = canonical_deptype(deptypes)
-        self[name] = dep
+        deptypes = canonical_deptype(deptypes)
+        self[name] = dep  # refuses a frozen owner before anything changes
+        self._edge_types[name] = deptypes
 
     def deptypes(self, name):
         """The dependency-type set of the edge to ``name``."""
@@ -284,11 +284,11 @@ class _DependencyMap(dict):
 
     def set_deptypes(self, name, deptypes):
         """Re-type an existing edge; returns True if the types changed."""
+        owner = self._writable_owner()
         deptypes = canonical_deptype(deptypes)
         if self._edge_types.get(name) == deptypes:
             return False
         self._edge_types[name] = deptypes
-        owner = self._owner_ref()
         if owner is not None:
             # edge types are hashed state: ancestors' cached DAG reprs,
             # dag_hash, and runtime_hash are all stale now
@@ -377,6 +377,8 @@ class Spec:
             self._add_dependency(dep if isinstance(dep, Spec) else Spec(dep))
 
     def _init_empty(self):
+        #: set by freeze(): every write below raises FrozenSpecError
+        self._frozen = False
         #: id(parent) -> weakref to parents holding an edge to this node;
         #: maintained by _DependencyMap, consumed by invalidate_caches().
         #: Set first: the parameter setters below call invalidate_caches.
@@ -401,9 +403,10 @@ class Spec:
     # -- cached-state parameter properties -----------------------------------
     # Node parameters are properties so that *any* assignment — including
     # direct writes from tests or package code — invalidates the cached
-    # node/DAG reprs, hash, and memo tables on this node and its ancestors.
-    # Mutation discipline therefore has a single choke point instead of
-    # being scattered across every caller.
+    # node/DAG reprs, hash, and memo tables on this node and its ancestors,
+    # or raises FrozenSpecError on a frozen node.  Mutation discipline
+    # therefore has a single choke point instead of being scattered across
+    # every caller.
     def _make_param(attr):  # noqa: N805 - class-body helper, deleted below
         private = "_p_" + attr
 
@@ -411,6 +414,8 @@ class Spec:
             return getattr(self, private)
 
         def fset(self, value):
+            if self._frozen:
+                raise err.FrozenSpecError(self._p_name, attr)
             setattr(self, private, value)
             self.invalidate_caches()
 
@@ -429,6 +434,8 @@ class Spec:
 
     @variants.setter
     def variants(self, value):
+        if self._frozen:
+            raise err.FrozenSpecError(self._p_name, "variants")
         owned = VariantMap(owner=self)
         dict.update(owned, value or {})
         self._p_variants = owned
@@ -490,6 +497,8 @@ class Spec:
 
     # -- construction helpers ---------------------------------------------
     def _add_dependency(self, dep_spec, deptypes=None):
+        if self._frozen:
+            raise err.FrozenSpecError(self.name, "dependencies")
         if dep_spec.name is None:
             raise err.SpecParseError("Dependency specs must be named")
         if dep_spec.name == self.name:
@@ -509,7 +518,10 @@ class Spec:
         self.invalidate_caches()
 
     def _register_parent(self, parent):
-        """Record a weak back-reference to a parent holding an edge here."""
+        """Record a weak back-reference to a parent holding an edge here
+        (none on a frozen node: it never invalidates)."""
+        if self._frozen:
+            return
         key = id(parent)
         if key not in self._dependents:
             # the callback prunes the entry when the parent is collected,
@@ -537,8 +549,11 @@ class Spec:
         assignment) changes every ancestor's DAG state too, so
         invalidation walks the parent back-references — otherwise
         ancestors keep serving stale cached state with ``_concrete``
-        still True.
+        still True.  A frozen node never changes, so its caches stay and
+        nothing is walked.
         """
+        if self._frozen:
+            return
         if not self._dependents:
             self._reset_caches()
             return
@@ -556,9 +571,42 @@ class Spec:
                     stack.append(parent)
 
     def copy(self, deps=True):
+        """A mutable copy of this DAG (or of this node alone): the way to
+        change a frozen spec."""
         new = Spec()
         new._dup(self, deps=deps)
         return new
+
+    def freeze(self):
+        """Make this DAG immutable and return it.
+
+        Concretization publishes its results frozen and hands the same
+        object to every caller — a concrete spec is a value named by its
+        hash (§3.4.2).  One walk marks every node (a frozen node's
+        sub-DAG is already frozen, so the walk stops there) and the
+        root's ``dag_hash`` is cached.  The other cached reprs and
+        hashes stay lazy: on a frozen node they are pure functions of
+        frozen fields, so a racing second computation stores the same
+        value.  Parameter, variant, edge and ``prefix`` writes,
+        ``constrain`` and ``_add_dependency`` then raise
+        :class:`~repro.spec.errors.FrozenSpecError`; :meth:`copy` returns
+        a mutable DAG.
+        """
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if not node._frozen:
+                node._frozen = True
+                # parent back-references only serve invalidation
+                node._dependents = {}
+                stack.extend(node.dependencies.values())
+        self.dag_hash()
+        return self
+
+    @property
+    def frozen(self):
+        """True once :meth:`freeze` has made this node immutable."""
+        return self._frozen
 
     # -- predicates ---------------------------------------------------------
     @property
@@ -609,6 +657,8 @@ class Spec:
 
     @prefix.setter
     def prefix(self, value):
+        if self._frozen:
+            raise err.FrozenSpecError(self.name, "prefix")
         self._prefix = value
 
     # -- traversal ----------------------------------------------------------
@@ -775,8 +825,11 @@ class Spec:
         """Intersect ``other``'s constraints into this spec.
 
         Returns True if anything changed; raises an UnsatisfiableSpecError
-        subclass if the constraints cannot be merged.
+        subclass if the constraints cannot be merged, and FrozenSpecError
+        on a frozen spec.
         """
+        if self._frozen:
+            raise err.FrozenSpecError(self.name, "constraints")
         other = other if isinstance(other, Spec) else Spec(other)
         if other.name is not None and self.name is not None and self.name != other.name:
             raise err.UnsatisfiableSpecNameError(self.name, other.name)
@@ -1000,9 +1053,9 @@ class Spec:
         """Canonical, re-parseable rendering: root node, then each unique
         dependency node flattened with ``^`` in name order (as the original
         prints specs — edge structure is re-derived by normalization)."""
+        deps = self.flat_dependencies()
         parts = [self.node_str()]
-        for name in sorted(self.flat_dependencies()):
-            parts.append("^%s" % self.flat_dependencies()[name].node_str())
+        parts.extend("^%s" % deps[name].node_str() for name in sorted(deps))
         return " ".join(parts)
 
     def __repr__(self):
@@ -1088,36 +1141,48 @@ class Spec:
 
     @classmethod
     def from_dict(cls, data):
-        """Rebuild a spec DAG written by :meth:`to_dict` (sharing preserved)."""
+        """Rebuild a spec DAG written by :meth:`to_dict` (sharing preserved).
+
+        Fields and edges are written directly, not through the
+        invalidating setters: a node under construction has nothing
+        cached.  A concrete payload (a database record, a lockfile root,
+        a persistent-cache entry) comes back frozen, ready to be shared;
+        an abstract one comes back mutable, with the parent
+        back-references invalidation walks.
+        """
         built = {}
         node_data = {nd["name"]: nd for nd in data["nodes"]}
+        frozen = bool(node_data[data["root"]].get("concrete"))
 
         def build(name):
-            if name in built:
-                return built[name]
+            node = built.get(name)
+            if node is not None:
+                return node
             nd = node_data[name]
-            node = cls()
-            node.name = nd["name"]
-            node.versions = VersionList(nd["versions"])
-            node.compiler = CompilerSpec(nd["compiler"]) if nd["compiler"] else None
-            node.variants.update(nd["variants"])
-            node.architecture = nd["architecture"]
-            node.external = nd["external"]
+            node = built[name] = cls()
+            node._p_name = nd["name"]
+            node._p_versions = VersionList(nd["versions"])
+            if nd["compiler"]:
+                node._p_compiler = CompilerSpec(nd["compiler"])
+            dict.update(node._p_variants, nd["variants"])
+            node._p_architecture = nd["architecture"]
+            node._p_external = nd["external"]
             node.provided_virtuals = set(nd["provided_virtuals"])
-            built[name] = node
             deps = nd["dependencies"]
-            if isinstance(deps, dict):
-                for dep_name in sorted(deps):
-                    node.dependencies.set_edge(
-                        dep_name, build(dep_name), deps[dep_name])
-            else:  # legacy list form: edges default to ("build", "link")
-                for dep_name in deps:
-                    node.dependencies[dep_name] = build(dep_name)
-            node._concrete = bool(nd.get("concrete"))
-            node._normal = node._concrete
+            typed = isinstance(deps, dict)  # legacy list form: build+link
+            for dep_name in sorted(deps) if typed else deps:
+                child = build(dep_name)
+                dict.__setitem__(node.dependencies, dep_name, child)
+                node.dependencies._edge_types[dep_name] = canonical_deptype(
+                    deps[dep_name] if typed else DEFAULT_DEPTYPES
+                )
+                if not frozen:
+                    child._register_parent(node)
+            node._concrete = node._normal = bool(nd.get("concrete"))
             return node
 
-        return build(data["root"])
+        root = build(data["root"])
+        return root.freeze() if frozen else root
 
     # -- misc ---------------------------------------------------------------------
     def tree(self, indent=2):

@@ -41,7 +41,7 @@ import os
 import tarfile
 
 from repro.errors import ReproError
-from repro.util.filesystem import mkdirp
+from repro.util.filesystem import atomic_write, mkdirp
 from repro.util.lock import Lock
 
 #: stands in for the session root when hashing file content, so digests
@@ -188,17 +188,10 @@ class BuildCache:
         with self._index_lock:
             index = self.read_index()
             index[dag_hash] = entry
-            self._atomic_write(
+            atomic_write(
                 self._index_path(),
                 json.dumps(index, sort_keys=True).encode(),
             )
-
-    @staticmethod
-    def _atomic_write(path, data):
-        tmp = "%s.%d.tmp" % (path, os.getpid())
-        with open(tmp, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
 
     # -- queries -----------------------------------------------------------
     def has(self, dag_hash):
@@ -261,13 +254,13 @@ class BuildCache:
 
         tar_path = self.tarball_path(node, dag_hash)
         mkdirp(os.path.dirname(tar_path))
-        self._atomic_write(tar_path, data)
+        atomic_write(tar_path, data)
         sidecar = {
             "spec": node.to_dict(),
             "root": root,
             "digest": digest,
         }
-        self._atomic_write(
+        atomic_write(
             self.sidecar_path(dag_hash),
             json.dumps(sidecar, sort_keys=True).encode(),
         )

@@ -37,7 +37,7 @@ import time
 from repro.errors import ReproError
 from repro.spec.spec import Spec
 from repro.store.layout import METADATA_DIR
-from repro.util.filesystem import mkdirp
+from repro.util.filesystem import atomic_write, mkdirp
 
 
 class DatabaseError(ReproError):
@@ -228,10 +228,7 @@ class Database:
                 installs[key] = record.to_dict()
         raw = json.dumps({"installs": installs}, sort_keys=True).encode()
         mkdirp(self.db_dir)
-        tmp = self.index_path + ".tmp"
-        with open(tmp, "wb") as f:
-            f.write(raw)
-        os.replace(tmp, self.index_path)
+        atomic_write(self.index_path, raw)
         self._disk, self._disk_bytes = installs, raw
         self._dirty = set()
 
@@ -283,7 +280,10 @@ class Database:
             raise DatabaseError("Only concrete specs can be installed: %s" % spec)
         with self.transaction():
             key = spec.dag_hash()
-            record = InstallRecord(spec.copy(), prefix, explicit=explicit)
+            # records are frozen, like those read back from the index
+            if not spec.frozen:
+                spec = spec.copy().freeze()
+            record = InstallRecord(spec, prefix, explicit=explicit)
             self._records[key] = record
             self._dirty.add(key)
         return record

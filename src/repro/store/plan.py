@@ -255,9 +255,11 @@ class Planner:
         *runtime* sub-DAG matches a cached entry are SPLICED — the
         donor's binaries are reused because only build-time tooling
         differs ("Bridging the Gap", PAPERS.md); everything else is
-        built.  Each node's ``prefix`` attribute is resolved here so
-        downstream layers (environment assembly, RPATH wiring) see it
-        regardless of which worker builds which node.
+        built.  The plan is made over a private mutable ``copy()`` of
+        ``spec`` (concretization results are frozen and shared), and
+        each of its nodes' ``prefix`` is resolved here so downstream
+        layers (environment assembly, RPATH wiring) see it regardless of
+        which worker builds which node.
         """
         if not spec.concrete:
             raise PlanError("Only concrete specs can be planned: %s" % spec)
@@ -274,6 +276,7 @@ class Planner:
             else bool(use_splice)
         )
 
+        spec = spec.copy()
         plan = InstallPlan(spec)
         with hub.span("install.plan", spec=str(spec.name)) as span:
             for index, node in enumerate(spec.traverse(order="post")):

@@ -10,6 +10,7 @@ import contextlib
 import errno
 import os
 import shutil
+import tempfile
 
 from repro.errors import ReproError
 
@@ -22,6 +23,33 @@ def mkdirp(*paths):
     """Create each directory (and parents) if it does not already exist."""
     for path in paths:
         os.makedirs(path, exist_ok=True)
+
+
+def atomic_write(path, data):
+    """Replace the file at ``path`` with the bytes ``data`` by one rename.
+
+    A reader sees the old file or the new one, never a torn one.  The
+    temporary file is ``mkstemp``'s, beside ``path``: unique per call,
+    so two writers in one process (daemon worker threads share a pid)
+    never truncate or ``os.replace`` away each other's half-written
+    file.  It is made readable like any other store file (0644).  The
+    directory must exist.
+    """
+    fd, tmp = tempfile.mkstemp(
+        prefix=os.path.basename(path) + ".", suffix=".tmp",
+        dir=os.path.dirname(path),
+    )
+    try:
+        with os.fdopen(fd, "wb") as f:
+            os.fchmod(f.fileno(), 0o644)
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def touch(path):

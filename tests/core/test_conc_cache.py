@@ -12,6 +12,7 @@ from repro.session import Session
 from repro.spec.spec import Spec
 from repro.telemetry import Telemetry
 from repro.telemetry.sinks import MemorySink
+from repro.util.filesystem import atomic_write
 
 
 @pytest.fixture
@@ -58,7 +59,8 @@ class TestSessionCaching:
         )
 
     def test_hits_return_independent_copies(self, tsession):
-        first = tsession.concretize("libdwarf")
+        # answers are frozen and shared; copy() is the mutable one
+        first = tsession.concretize("libdwarf").copy()
         second = tsession.concretize("libdwarf")
         assert first is not second
         first.variants["mangled"] = True
@@ -185,7 +187,7 @@ class TestIntegrity:
         with open(path) as f:
             payload = json.load(f)
         payload["dag_hash"] = "0" * 32
-        cache._atomic_write(path, json.dumps(payload).encode())
+        atomic_write(path, json.dumps(payload).encode())
         assert cache.lookup(key) is None
         assert hub.counter("concretize.cache.invalidate") == 1
         assert len(cache) == 0
@@ -244,18 +246,19 @@ class TestShardedIndex:
         cache = ConcretizationCache(str(tmp_path / "cc"))
         spec = self._concrete_spec()
         writes = []
-        real_write = cache._atomic_write
 
         def counting_write(path, data):
             # counted once written: the first store into a new fanout
             # directory fails before it creates anything, then retries
-            real_write(path, data)
+            atomic_write(path, data)
             writes.append((path, len(data)))
 
         def no_lock(self, *args, **kwargs):
             raise AssertionError("a store took a lock")
 
-        cache._atomic_write = counting_write
+        monkeypatch.setattr(
+            "repro.core.conc_cache.atomic_write", counting_write
+        )
         monkeypatch.setattr(Lock, "acquire", no_lock)
         total = 512
         for i in range(total):
@@ -317,10 +320,11 @@ class TestShardedIndex:
 
 
 class TestConcurrentWriters:
-    """Regression: ``_atomic_write`` used one fixed pid-derived temp
-    name, so two *threads* of the same process (the service daemon's
-    worker pool) truncated and ``os.replace``d each other's half-written
-    files.  mkstemp gives every call its own exclusively-created file."""
+    """Regression: the cache's atomic write used one fixed pid-derived
+    temp name, so two *threads* of the same process (the service
+    daemon's worker pool) truncated and ``os.replace``d each other's
+    half-written files.  ``repro.util.filesystem.atomic_write``'s mkstemp
+    gives every call its own exclusively-created file."""
 
     def test_atomic_write_hammer(self, tmp_path):
         cache = ConcretizationCache(str(tmp_path / "cc"))
@@ -335,7 +339,7 @@ class TestConcurrentWriters:
             barrier.wait()
             try:
                 for _ in range(n_writes):
-                    cache._atomic_write(target, payload)
+                    atomic_write(target, payload)
             except Exception as e:  # pre-fix: FileNotFoundError on replace
                 errors.append(e)
 

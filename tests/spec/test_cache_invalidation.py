@@ -11,7 +11,8 @@ from repro.spec.spec import Spec
 
 
 def _concrete_mpileaks(session):
-    return session.concretize(Spec("mpileaks"))
+    # concretization results are frozen; these tests mutate a mutable copy
+    return session.concretize(Spec("mpileaks")).copy()
 
 
 class TestAncestorInvalidation:

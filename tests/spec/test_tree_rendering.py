@@ -32,6 +32,23 @@ class TestTree:
         assert "\n    b@1" in text
 
 
+class TestStr:
+    def test_one_str_makes_one_traversal(self, session, monkeypatch):
+        concrete = session.concretize(Spec("ares ^mvapich"))
+        walks = []
+        real = Spec.traverse
+
+        def counting(self, *args, **kwargs):
+            if kwargs.get("_visited") is None:  # a walk, not its recursion
+                walks.append(self.name)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Spec, "traverse", counting)
+        text = str(concrete)
+        assert walks == ["ares"]
+        assert text.count("^") == len(list(real(concrete))) - 1
+
+
 class TestLargeDagRendering:
     def test_ares_ascii(self, session):
         concrete = session.concretize(Spec("ares ^mvapich"))

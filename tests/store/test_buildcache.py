@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import threading
 
 import pytest
 
@@ -66,6 +67,39 @@ class TestCacheFormat:
         d1 = cache.push(spec, prefix, pushing_session.root)
         d2 = cache.push(spec, prefix, pushing_session.root)
         assert d1 == d2
+
+    def test_threads_pushing_one_hash_leave_every_sidecar_whole(
+        self, pushing_session
+    ):
+        """Regression: the temp file of a push was named by the pid
+        alone, so two daemon threads pushing one hash truncated or
+        ``os.replace``d away each other's half-written sidecar."""
+        spec, _ = pushing_session.install("libelf", jobs=1)
+        cache = pushing_session.buildcache
+        prefix = pushing_session.store.layout.path_for_spec(spec)
+        dag_hash = spec.dag_hash()
+        n_threads, n_pushes = 4, 25
+        barrier = threading.Barrier(n_threads)
+        errors = []
+
+        def pusher():
+            barrier.wait()
+            try:
+                for _ in range(n_pushes):
+                    cache.push(spec, prefix, pushing_session.root)
+                    with open(cache.sidecar_path(dag_hash)) as f:
+                        sidecar = json.load(f)
+                    assert Spec.from_dict(sidecar["spec"]).dag_hash() == dag_hash
+            except Exception as e:
+                errors.append(e)
+
+        threads = [threading.Thread(target=pusher) for _ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        assert not [n for n in os.listdir(cache.root) if n.endswith(".tmp")]
 
     def test_normalized_digest_is_relocation_invariant(self):
         a = b'{"rpaths": ["/root/a/opt/lib"], "needed": []}'

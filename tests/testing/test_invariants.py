@@ -81,7 +81,8 @@ def test_roundtrip_detects_lossy_serialization(universe, monkeypatch):
     real_from_dict = Spec.from_dict.__func__
 
     def lossy_from_dict(cls, data):
-        spec = real_from_dict(cls, data)
+        # a concrete payload comes back frozen; mangle a mutable copy
+        spec = real_from_dict(cls, data).copy()
         spec.name = spec.name + "-mangled"
         return spec
 
