@@ -1038,7 +1038,7 @@ def build_parser():
             )
             p.add_argument(
                 "--workers", type=int, default=4, metavar="N",
-                help="bounded request worker pool width (default 4)",
+                help="most requests served at once (default 4)",
             )
             p.set_defaults(func=func)
             continue

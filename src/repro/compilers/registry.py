@@ -126,12 +126,20 @@ class CompilerRegistry:
 
     def __init__(self, compilers=()):
         self._compilers = []
+        #: bumped by every add that changes the set; cheap change
+        #: detector for the session's State (service/snapshot.py)
+        self._mtoken = 0
         for compiler in compilers:
             self.add(compiler)
 
     def add(self, compiler):
         if compiler not in self._compilers:
             self._compilers.append(compiler)
+            self._mtoken += 1
+
+    def mutation_token(self):
+        """Monotonic token changing whenever a compiler is added."""
+        return self._mtoken
 
     def all_compilers(self):
         return sorted(self._compilers, key=lambda c: (c.name, c.version))

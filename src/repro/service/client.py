@@ -3,7 +3,8 @@
 One socket, JSON lines out, JSON lines back.  Each client instance is a
 single-threaded conversation (ids are matched, responses arrive in
 request order on one connection); open one client per thread to issue
-concurrent requests — the daemon's pool interleaves them server-side.
+concurrent requests — the daemon serves each connection on its own
+thread, up to its ``workers`` bound.
 
     with ServiceClient("127.0.0.1", port) as client:
         concrete = client.call("spack_spec", spec="mpileaks ^mpich")

@@ -2,28 +2,41 @@
 
 ``ServiceDaemon`` owns a :class:`~repro.session.Session` and serves the
 hpc-mcp tool surface (``spack_list`` / ``spack_info`` / ``spack_spec`` /
-``spack_install`` / ``spack_find``) plus ``status`` and ``shutdown``
-over a bounded worker pool.  The moving parts:
+``spack_install`` / ``spack_find``) plus ``status`` and ``shutdown``.
+The moving parts:
+
+* **Requests run where they arrive, under one bound** — :meth:`call`
+  serves a request on the calling thread (a transport's connection
+  thread), with no hand-off; :meth:`submit` runs it on a worker pool for
+  in-process callers that want a Future.  Either way the request takes
+  one of ``workers`` slots before it runs, so at most ``workers``
+  requests work at once and the rest wait (``status`` counts them);
+  the control endpoints (``status``, ``shutdown``) take no slot.
 
 * **Snapshot isolation** — every request resolves against the
   session's :class:`~repro.service.snapshot.StateSnapshot` current at
   dispatch time; a mid-flight package/config mutation forks a new
   snapshot for *later* requests and never disturbs in-flight ones.
-* **Shared answers** — every concrete spec the snapshot publishes is
-  frozen, so each request gets the snapshot's object itself, never a
-  copy; a repeated text that fails re-raises the memoized typed error
-  without a cold solve, and ``spack_spec`` builds a master's response
-  body once (only ``concretizer`` and ``env_digest`` are per request).
-  A caller that needs a mutable DAG takes ``copy()``.
-* **Request batching** — a thundering herd of requests for the same
-  (spec, digest, variant) cache key concretizes **once**: the first
+* **Shared answers** — the snapshot memo is keyed by the request text,
+  so a repeated request is one dictionary lookup: no parse, and no
+  sha256 of the spec (that key is the persistent cache's, derived only
+  on a memo miss).
+  Every concrete spec the snapshot publishes is frozen, so each request
+  gets the snapshot's object itself, never a copy; a repeated text that
+  fails re-raises the memoized typed error without a cold solve, and
+  ``spack_spec`` builds a master's response body once (only
+  ``concretizer`` and ``env_digest`` are per request).  A caller that
+  needs a mutable DAG takes ``copy()``.
+* **Request batching** — a thundering herd of memo misses for the same
+  (environment digest, memo key) concretizes **once**: the first
   requester becomes the leader, followers park on an event and share the
   leader's frozen result.  Counted on ``service.batch.coalesced``.
-* **Per-request traces** — each request runs under a root
-  ``service.request`` span on its worker thread, so one request is one
-  single-rooted trace (the PR-6 analysis machinery applies unchanged);
-  cross-thread work it spawns rides the usual
-  :class:`~repro.telemetry.hub.TraceContext` propagation.
+* **Per-request traces** — each request runs under a ``service.request``
+  span opened on the thread that runs it; a connection thread or pool
+  worker has no span open, so one request is one single-rooted trace
+  (the PR-6 analysis machinery applies unchanged); cross-thread work it
+  spawns rides the usual :class:`~repro.telemetry.hub.TraceContext`
+  propagation.
 * **Writes stay on the live session** — ``spack_install`` concretizes
   on the snapshot but installs through the session's DAG-parallel
   installer, whose per-prefix locks and database transactions already
@@ -39,7 +52,7 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.core import UnknownConcretizerError
 from repro.errors import ReproError
 
-#: default dispatcher width (requests resolved concurrently)
+#: default bound on requests served at once
 DEFAULT_WORKERS = 4
 
 #: the tool surface served, in the hpc-mcp workflow order, plus the
@@ -54,6 +67,10 @@ ENDPOINTS = (
     "status",
     "shutdown",
 )
+
+#: served outside the ``workers`` bound: a saturated daemon still
+#: reports its status and still shuts down
+CONTROL_ENDPOINTS = ("status", "shutdown")
 
 
 class ServiceError(ReproError):
@@ -81,14 +98,25 @@ class ServiceDaemon:
         #: the session's State manager; every endpoint reads its current()
         self.snapshots = session.snapshots
         self.workers = max(1, int(workers))
+        #: runs submit()ted requests; call() needs no thread of its own
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-service"
         )
         self._request_ids = itertools.count(1)
+        #: (env digest, memo key) -> the _Batch its leader computes
         self._inflight = {}
         self._batch_lock = threading.Lock()
+        #: guards the counters below; its conditions wake a request
+        #: waiting for a slot and close() waiting for the last request
         self._state_lock = threading.Lock()
+        self._slot_free = threading.Condition(self._state_lock)
+        self._idle = threading.Condition(self._state_lock)
+        #: admitted and not yet answered (those waiting for a slot too)
         self._active = 0
+        #: holding one of the ``workers`` slots — the one concurrency
+        #: bound, shared by call() and submit() — and waiting for one
+        self._running = 0
+        self._waiting = 0
         self._served = 0
         self._errors = 0
         self.coalesced = 0
@@ -101,48 +129,78 @@ class ServiceDaemon:
     # -- dispatch ----------------------------------------------------------
     def submit(self, endpoint, params=None):
         """Dispatch a request to the worker pool; returns a Future."""
+        params = dict(params or {})
+        request_id = self._admit(endpoint)
+        return self._pool.submit(self._handle, request_id, endpoint, params)
+
+    def call(self, endpoint, params=None):
+        """Serve a request on the calling thread and return its result:
+        the synchronous face transports use, with no thread hand-off."""
+        request_id = self._admit(endpoint)
+        return self._handle(request_id, endpoint, params or {})
+
+    def _admit(self, endpoint):
         if endpoint not in ENDPOINTS:
             raise ServiceError(
                 "Unknown endpoint %r (expected one of: %s)"
                 % (endpoint, ", ".join(ENDPOINTS))
             )
-        if self.shutdown_event.is_set():
-            raise ServiceError("Daemon is shutting down")
-        request_id = next(self._request_ids)
-        return self._pool.submit(self._handle, request_id, endpoint,
-                                 dict(params or {}))
-
-    def call(self, endpoint, params=None):
-        """Dispatch and wait: the synchronous face transports use."""
-        return self.submit(endpoint, params).result()
+        with self._state_lock:
+            if self.shutdown_event.is_set():
+                raise ServiceError("Daemon is shutting down")
+            self._active += 1
+        return next(self._request_ids)
 
     def _handle(self, request_id, endpoint, params):
         telemetry = self.session.telemetry
-        with self._state_lock:
-            self._active += 1
-        # the root span: opened with no enclosing span on this worker
-        # thread, so every request is its own single-rooted trace
-        with telemetry.span(
-            "service.request", endpoint=endpoint, request=request_id
-        ):
-            try:
-                result = getattr(self, "_ep_%s" % endpoint)(**params)
-            except (TypeError, UnknownConcretizerError) as e:
-                # surface bad params as a service error, not a crash
-                self._count_error()
-                raise ServiceError(
-                    "Bad parameters for %s: %s" % (endpoint, e)
-                ) from e
-            except Exception:
-                self._count_error()
-                raise
-            finally:
-                with self._state_lock:
-                    self._active -= 1
-        with self._state_lock:
-            self._served += 1
+        slot = served = False
+        try:
+            if endpoint not in CONTROL_ENDPOINTS:
+                self._take_slot()
+                slot = True
+            # the root span: a connection thread or pool worker has no
+            # span open, so every request is its own single-rooted trace
+            with telemetry.span(
+                "service.request", endpoint=endpoint, request=request_id
+            ):
+                try:
+                    result = getattr(self, "_ep_%s" % endpoint)(**params)
+                except (TypeError, UnknownConcretizerError) as e:
+                    # surface bad params as a service error, not a crash
+                    self._count_error()
+                    raise ServiceError(
+                        "Bad parameters for %s: %s" % (endpoint, e)
+                    ) from e
+                except Exception:
+                    self._count_error()
+                    raise
+            served = True
+        finally:
+            with self._state_lock:
+                if slot:
+                    self._running -= 1
+                    if self._waiting:
+                        self._slot_free.notify()
+                self._active -= 1
+                self._served += served
+                if not self._active and self.shutdown_event.is_set():
+                    self._idle.notify_all()
         telemetry.count("service.requests")
         return result
+
+    def _take_slot(self):
+        """Take one of the ``workers`` slots, waiting while all are
+        taken."""
+        with self._state_lock:
+            if self._running >= self.workers:
+                self._waiting += 1
+                try:
+                    self._slot_free.wait_for(
+                        lambda: self._running < self.workers
+                    )
+                finally:
+                    self._waiting -= 1
+            self._running += 1
 
     def _count_error(self):
         with self._state_lock:
@@ -150,31 +208,31 @@ class ServiceDaemon:
         self.session.telemetry.count("service.errors")
 
     # -- batched concretization --------------------------------------------
-    def _concretize(self, snapshot, spec_text, variant):
-        """Concretize on a snapshot, coalescing identical in-flight
-        requests (one snapshot cache key) onto one computation."""
-        from repro.spec.spec import Spec
-
-        spec = Spec(spec_text)
+    def _concretize(self, snapshot, spec, variant):
+        """Concretize a spec text (or Spec) on a snapshot: a memo hit is
+        answered at once, and identical in-flight misses (one snapshot
+        digest, one memo key) coalesce onto one computation."""
         database = self.session.db
-        key = snapshot.cache_key(spec, variant, database)
+        key = snapshot.memo_key(spec, variant, database)
+        master = snapshot._recall(key)
+        if master is not None:
+            return master
+        inflight = (snapshot.env_digest, key)
         with self._batch_lock:
-            batch = self._inflight.get(key)
+            batch = self._inflight.get(inflight)
             leader = batch is None
             if leader:
-                batch = self._inflight[key] = _Batch()
+                batch = self._inflight[inflight] = _Batch()
             else:
                 batch.followers += 1
         if leader:
             try:
-                batch.result = snapshot.concretize(
-                    spec, variant, database=database
-                )
+                batch.result = snapshot._resolve(key, spec, database)
             except Exception as e:
                 batch.error = e
             finally:
                 with self._batch_lock:
-                    self._inflight.pop(key, None)
+                    self._inflight.pop(inflight, None)
                 batch.done.set()
         else:
             batch.done.wait()
@@ -270,7 +328,7 @@ class ServiceDaemon:
         jobs = max(1, int(jobs or 1))
         unified = unify_roots(
             [str(r) for r in roots],
-            lambda spec: self._concretize(snapshot, str(spec), variant),
+            lambda spec: self._concretize(snapshot, spec, variant),
             jobs=jobs,
             telemetry=self.session.telemetry,
         )
@@ -304,7 +362,8 @@ class ServiceDaemon:
     def _ep_status(self):
         snapshot = self.snapshots.current()
         with self._state_lock:
-            active, served, errors = self._active, self._served, self._errors
+            active, waiting = self._active, self._waiting
+            served, errors = self._served, self._errors
             coalesced = self.coalesced
         hist = self.session.telemetry.histograms.get("service.request")
         latency = hist.to_dict() if hist is not None else None
@@ -312,10 +371,12 @@ class ServiceDaemon:
             "uptime_s": time.time() - self._started,
             "workers": self.workers,
             "requests": {"served": served, "active": active,
-                         "errors": errors, "coalesced": coalesced},
+                         "waiting": waiting, "errors": errors,
+                         "coalesced": coalesced},
             "snapshot": {"env_digest": snapshot.env_digest,
                          "packages": len(snapshot.repo),
-                         "forks": self.snapshots.forks},
+                         "forks": self.snapshots.forks,
+                         "memo_entries": snapshot.memo_entries()},
             "latency": latency,
             "endpoints": list(ENDPOINTS),
         }
@@ -328,8 +389,12 @@ class ServiceDaemon:
 
     # -- lifecycle ---------------------------------------------------------
     def close(self, wait=True):
-        """Stop accepting work and drain the pool."""
-        self.shutdown_event.set()
+        """Stop accepting work; with ``wait``, return once every admitted
+        request — on the pool or on a caller's thread — has finished."""
+        with self._idle:
+            self.shutdown_event.set()
+            if wait:
+                self._idle.wait_for(lambda: not self._active)
         self._pool.shutdown(wait=wait)
 
     def __enter__(self):

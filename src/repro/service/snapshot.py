@@ -64,6 +64,7 @@ class RepoSnapshot:
 
     def __init__(self, repo):
         self._classes = dict(repo.all_classes())
+        self._names = sorted(self._classes)
         self._token = repo.mutation_token()
 
     def mutation_token(self):
@@ -80,7 +81,7 @@ class RepoSnapshot:
             raise NoSuchPackageError(name) from None
 
     def all_package_names(self):
-        return sorted(self._classes)
+        return list(self._names)
 
     def all_classes(self):
         return dict(self._classes)
@@ -156,9 +157,9 @@ class StateSnapshot:
         #: the shared persistent cache (thread-safe; may be None)
         self.conc_cache = session.concretize_cache
         self._env_digest = None
-        #: cache key -> frozen concrete Spec, or the detached typed error
-        #: its cold run raised; least recently used first; guarded —
-        #: many worker threads share one snapshot
+        #: memo key (see memo_key) -> frozen concrete Spec, or the
+        #: detached typed error its cold run raised; least recently used
+        #: first; guarded — many request threads share one snapshot
         self._memo = OrderedDict()
         self._lock = threading.Lock()
 
@@ -188,18 +189,19 @@ class StateSnapshot:
             self.policy, telemetry=self.telemetry, database=database,
         )
 
-    def cache_key(self, spec, variant, database=None):
-        """The key a concretization is memoized and persisted under: the
-        abstract text, the environment digest — plus the installed-set
-        fingerprint for a variant that reuses installed specs — and the
-        variant."""
-        digest = self.env_digest
-        if CONCRETIZERS[variant].reuses_installed and database is not None:
-            hashes = sorted(r.spec.dag_hash() for r in database.query())
-            digest = "%s/%s" % (
-                digest, hashlib.sha256("\n".join(hashes).encode()).hexdigest()
-            )
-        return ConcretizationCache.make_key(str(spec), digest, variant)
+    def memo_key(self, spec, variant, database=None):
+        """The memo's key for a request as given: its text (a Spec is
+        rendered), the resolved variant, and — for a variant that reuses
+        installed specs — the installed-set fingerprint (else None).  A
+        text is neither parsed nor hashed, so a repeated request costs
+        one dictionary lookup."""
+        text = spec if isinstance(spec, str) else str(spec)
+        installed = None
+        if database is not None and CONCRETIZERS[variant].reuses_installed:
+            installed = hashlib.sha256(
+                "\n".join(database.hashes()).encode()
+            ).hexdigest()
+        return (text, variant, installed)
 
     def concretize(self, spec, variant=None, database=None, use_cache=True):
         """Concretize against this snapshot; returns a frozen Spec.
@@ -211,6 +213,13 @@ class StateSnapshot:
         this at once.  ``use_cache=False`` skips both caches (and stores
         nothing); the caches never change results, only how fast they
         arrive.
+
+        The memo is keyed by the request as given (:meth:`memo_key`):
+        a repeat is one lookup, with no parse of its text.  Only a memo
+        miss parses the text and derives the persistent cache's key, a
+        sha256 over the canonical spec string, the environment digest
+        (plus the installed-set fingerprint) and the variant — the key
+        every process over the same state shares.
 
         A result enters the memo on its second use: a cold result goes to
         the persistent cache only, and the memo admits it when a later
@@ -226,22 +235,44 @@ class StateSnapshot:
         memory only, and a repeat raises the same type and message
         without running the concretizer.
         """
-        if isinstance(spec, str):
-            spec = Spec(spec)
         variant = self.variant(variant)
         if not use_cache:
+            if isinstance(spec, str):
+                spec = Spec(spec)
             return self._concretize_cold(spec, variant, database)
-        key = self.cache_key(spec, variant, database)
+        return self._resolve(
+            self.memo_key(spec, variant, database), spec, database
+        )
+
+    def _recall(self, key):
+        """The memo's frozen master for ``key``, or None; a memoized
+        typed error is raised instead."""
         with self._lock:
             master = self._memo.get(key)
-            if master is not None:
-                self._memo.move_to_end(key)
+            if master is None:
+                return None
+            self._memo.move_to_end(key)
+        self.telemetry.count("concretize.cache.hit")
+        if isinstance(master, ReproError):
+            raise _detached(master)
+        return master
+
+    def _resolve(self, key, spec, database=None):
+        """The pipeline behind :meth:`concretize` for a request whose
+        memo key is ``key``: the memo, then the persistent cache, then a
+        cold run.  The daemon's coalescing leader calls it with the key
+        it already holds."""
+        master = self._recall(key)
         if master is not None:
-            self.telemetry.count("concretize.cache.hit")
-            if isinstance(master, ReproError):
-                raise _detached(master)
             return master
-        cached = self._lookup(key, spec, variant)
+        if isinstance(spec, str):
+            spec = Spec(spec)
+        _, variant, installed = key
+        digest = self.env_digest
+        if installed is not None:
+            digest = "%s/%s" % (digest, installed)
+        disk_key = ConcretizationCache.make_key(str(spec), digest, variant)
+        cached = self._lookup(disk_key, spec, variant)
         if cached is not None:
             self._remember(key, cached)
             return cached
@@ -251,7 +282,7 @@ class StateSnapshot:
             self._remember(key, _detached(e))
             raise
         if self.conc_cache is not None:
-            self.conc_cache.store(key, concrete)
+            self.conc_cache.store(disk_key, concrete)
         else:
             self._remember(key, concrete)
         return concrete
@@ -284,13 +315,17 @@ class StateSnapshot:
         with self._lock:
             self._memo.clear()
 
+    def memo_entries(self):
+        """How many answers and typed errors the memo holds."""
+        return len(self._memo)
+
     # -- read-only queries -------------------------------------------------
     def list_packages(self, pattern=None):
         """Package names, optionally substring/glob filtered
         (``spack_list``, ``repo-list``)."""
         names = self.repo.all_package_names()
         if pattern:
-            names = [n for n in names if fnmatch.fnmatch(n, "*%s*" % pattern)]
+            names = fnmatch.filter(names, "*%s*" % pattern)
         return names
 
     def package_info(self, name):
@@ -356,17 +391,18 @@ class SnapshotManager:
     tokens move; hands out the current one otherwise.
 
     ``current()`` is what every concretization and daemon request calls:
-    steady state is one token comparison under a short lock, and the
-    fork runs at most once per mutation however many requests race past
-    it.  A re-fork strands the old snapshot's memo (its keys embed the
-    old digest), counted once on ``concretize.cache.invalidate``.
+    steady state is one comparison of the repo, config and compiler
+    registry's integer mutation tokens (and the policy's type), with no
+    lock, and the fork runs at most once per mutation however many
+    requests race past it.  A re-fork strands the old snapshot's memo,
+    counted once on ``concretize.cache.invalidate``.
     """
 
     def __init__(self, session):
         self.session = session
         self._lock = threading.Lock()
-        self._snapshot = None
-        self._token = None
+        #: (token, snapshot) of the last fork, published as one object
+        self._current = None
         self.forks = 0
 
     def _live_token(self):
@@ -374,19 +410,22 @@ class SnapshotManager:
         return (
             session.repo.mutation_token(),
             session.config.mutation_token(),
-            tuple(str(c) for c in session.compilers.all_compilers()),
+            session.compilers.mutation_token(),
             type(session.policy),
         )
 
     def current(self):
         """The snapshot matching the session's present state."""
         token = self._live_token()
+        current = self._current
+        if current is not None and current[0] == token:
+            return current[1]
         with self._lock:
-            if self._snapshot is None or token != self._token:
-                if self._snapshot is not None:
+            current = self._current
+            if current is None or current[0] != token:
+                if current is not None:
                     self.session.telemetry.count("concretize.cache.invalidate")
-                self._snapshot = StateSnapshot(self.session)
-                self._token = token
+                current = self._current = (token, StateSnapshot(self.session))
                 self.forks += 1
                 self.session.telemetry.count("service.snapshot.fork")
-            return self._snapshot
+            return current[1]

@@ -15,10 +15,11 @@ response::
 
 The transport never interprets requests: it parses, hands the endpoint
 and params to :meth:`ServiceDaemon.call`, and serializes whatever comes
-back.  Concurrency lives in the daemon's worker pool; the socket server
-merely gives each connection a reader thread, so many clients block
-independently while the pool bounds actual work.  A ``shutdown``
-request is answered first, then the server unwinds.
+back.  The socket server gives each connection a thread, and ``call``
+serves the request on that thread, with no hand-off; the daemon's
+``workers`` bound limits how many requests work at once, and the rest
+wait for a slot.  A ``shutdown`` request is answered first, then the
+server unwinds.
 """
 
 import json
@@ -118,9 +119,8 @@ class StdioTransport:
     """``repro-spack serve --stdio``: requests on stdin, responses on
     stdout — the transport an MCP tool host or a subprocess pipe wants.
 
-    Requests are answered in arrival order; the daemon pool still
-    coalesces identical concretizations issued back-to-back by keeping
-    their snapshot and cache state warm.
+    Requests are answered in arrival order, each on the reading thread;
+    a repeat is served from the warm snapshot memo.
     """
 
     def __init__(self, daemon, stdin=None, stdout=None):

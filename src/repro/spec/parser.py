@@ -140,15 +140,17 @@ class SpecParser:
         return tok
 
     # -- grammar rules -------------------------------------------------------
-    def parse(self):
-        """Parse the whole stream: one or more specs."""
+    def parse(self, into=None):
+        """Parse the whole stream: one or more specs, the first into
+        ``into`` when given."""
         specs = []
         while self.peek() is not None:
-            specs.append(self.parse_spec())
+            specs.append(self.parse_spec(into if not specs else None))
         return specs
 
-    def parse_spec(self):
-        spec = Spec()
+    def parse_spec(self, spec=None):
+        if spec is None:
+            spec = Spec()
         tok = self.peek()
         if tok is not None and tok.kind == ID:
             self.next()
@@ -249,7 +251,8 @@ class SpecParser:
         return Version(start.value)
 
 
-def parse_specs(text):
+def parse_specs(text, into=None):
     """Parse a string into a list of Specs (one per whitespace-separated
-    spec expression)."""
-    return SpecParser(text).parse()
+    spec expression).  ``into``, an empty Spec, becomes the first of
+    them: ``Spec(text)`` parses straight into itself."""
+    return SpecParser(text).parse(into)

@@ -347,14 +347,13 @@ class Spec:
         if isinstance(spec_like, str):
             from repro.spec.parser import parse_specs
 
-            specs = parse_specs(spec_like)
+            self._init_empty()
+            specs = parse_specs(spec_like, into=self)
             if len(specs) != 1:
                 raise err.SpecParseError(
                     "Expected exactly one spec, got %d from %r"
                     % (len(specs), spec_like)
                 )
-            self._init_empty()
-            self._dup(specs[0])
             return
         if spec_like is not None:
             raise TypeError("Cannot construct Spec from %r" % (spec_like,))

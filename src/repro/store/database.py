@@ -322,16 +322,23 @@ class Database:
         ``session.find('mpileaks@1.0 %gcc')`` resolves here: each installed
         concrete spec is matched with strict satisfaction against the query.
         """
+        if query_spec is not None and not isinstance(query_spec, Spec):
+            query_spec = Spec(query_spec)
         results = []
         for record in list(self._records.values()):
             if explicit is not None and record.explicit != explicit:
                 continue
-            if query_spec is not None:
-                qs = query_spec if isinstance(query_spec, Spec) else Spec(query_spec)
-                if not record.spec.satisfies(qs, strict=True):
-                    continue
+            if query_spec is not None and not record.spec.satisfies(
+                query_spec, strict=True
+            ):
+                continue
             results.append(record)
         return sorted(results, key=lambda r: str(r.spec))
+
+    def hashes(self):
+        """The DAG hashes of every installed spec, sorted: the installed
+        set's identity, read without rendering a record."""
+        return sorted(self._records)
 
     def get_by_hash(self, hash_prefix):
         """Records whose DAG hash starts with ``hash_prefix`` (the CLI's

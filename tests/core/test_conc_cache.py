@@ -279,7 +279,9 @@ class TestShardedIndex:
         cache = tsession.concretize_cache
         cold = tsession.concretize("libdwarf", use_cache=False)
         state = tsession.snapshots.current()
-        key = state.cache_key(Spec("libdwarf"), state.variant())
+        key = ConcretizationCache.make_key(
+            str(Spec("libdwarf")), state.env_digest, state.variant()
+        )
         keys = [key] + [
             ConcretizationCache.make_key("legacy-%d" % i, "0" * 64, "greedy")
             for i in range(8)

@@ -96,6 +96,66 @@ class TestMixedHerd:
         assert len({r["dag_hash"] for r in results}) == 1
 
 
+class TestBoundUnderStress:
+    def test_bound_and_counters_hold_with_a_1us_switch_interval(
+        self, tsession
+    ):
+        """Twelve caller threads and two pool workers race a 3-slot
+        bound: no more than three requests ever run at once, and every
+        admission, slot and answer is counted exactly."""
+        import sys
+
+        workers, callers, per_caller = 3, 12, 20
+        running, peak, errors = [0], [0], []
+        counter_lock = threading.Lock()
+        with ServiceDaemon(tsession, workers=workers) as daemon:
+            real = daemon._ep_spack_list
+
+            def counted(**params):
+                with counter_lock:
+                    running[0] += 1
+                    peak[0] = max(peak[0], running[0])
+                try:
+                    return real(**params)
+                finally:
+                    with counter_lock:
+                        running[0] -= 1
+
+            daemon._ep_spack_list = counted
+            barrier = threading.Barrier(callers)
+
+            def caller():
+                try:
+                    barrier.wait()
+                    for _ in range(per_caller):
+                        daemon.call("spack_list", {"query": "mpi"})
+                except Exception as e:  # pragma: no cover - failure detail
+                    errors.append(e)
+
+            threads = [threading.Thread(target=caller) for _ in range(callers)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                futures = [daemon.submit("spack_list", {"query": "lib"})
+                           for _ in range(per_caller)]
+                for t in threads:
+                    t.join(timeout=120)
+                results = [f.result(timeout=120) for f in futures]
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == [] and len(results) == per_caller
+            status = daemon.call("status")
+        assert 1 <= peak[0] <= workers
+        total = (callers + 1) * per_caller
+        assert status["requests"]["served"] == total
+        assert status["requests"]["active"] == 1  # the status request
+        assert status["requests"]["waiting"] == 0
+        assert daemon._running == 0 and daemon._active == 0
+
+
 class TestSnapshotIsolationMidFlight:
     def test_old_requests_finish_old_new_see_new(self, tsession):
         with ServiceDaemon(tsession, workers=4) as daemon:

@@ -147,6 +147,144 @@ class TestEndpoints:
             daemon.submit("spack_list")
 
 
+class _Gate:
+    """Makes ``spack_list`` block until released, recording the thread
+    each call of it ran on."""
+
+    def __init__(self, daemon):
+        self.release = threading.Event()
+        self.entered = []
+        real = daemon._ep_spack_list
+
+        def gated(**params):
+            self.entered.append(threading.get_ident())
+            assert self.release.wait(timeout=30)
+            return real(**params)
+
+        daemon._ep_spack_list = gated
+
+    def wait_entered(self, n):
+        deadline = time.time() + 30
+        while len(self.entered) < n and time.time() < deadline:
+            time.sleep(0.002)
+        assert len(self.entered) == n
+
+
+def _wait_for_status(daemon, predicate):
+    deadline = time.time() + 30
+    while time.time() < deadline:
+        status = daemon.call("status")
+        if predicate(status):
+            return status
+        time.sleep(0.002)
+    raise AssertionError("status never matched: %r" % status)
+
+
+def _calling(daemon, endpoint, results):
+    """A started thread that calls ``endpoint`` and records its result."""
+    thread = threading.Thread(
+        target=lambda: results.append(daemon.call(endpoint)), daemon=True
+    )
+    thread.start()
+    return thread
+
+
+class TestInlineDispatch:
+    def test_call_runs_the_endpoint_on_the_callers_thread(self, daemon):
+        gate = _Gate(daemon)
+        gate.release.set()
+        daemon.call("spack_list")
+        assert gate.entered == [threading.get_ident()]
+        # submit() keeps its pool for in-process async callers
+        daemon.submit("spack_list").result(timeout=30)
+        assert gate.entered[1] != threading.get_ident()
+
+    def test_held_slots_stop_further_requests_from_call_and_submit(
+        self, tsession
+    ):
+        with ServiceDaemon(tsession, workers=2) as daemon:
+            gate = _Gate(daemon)
+            results = []
+            held = _calling(daemon, "spack_list", results)
+            gate.wait_entered(1)
+            assert gate.entered == [held.ident]  # the call's own thread
+            held_future = daemon.submit("spack_list")
+            gate.wait_entered(2)
+            # both slots are held: neither face starts another request
+            further = _calling(daemon, "spack_list", results)
+            further_future = daemon.submit("spack_list")
+            status = _wait_for_status(
+                daemon, lambda s: s["requests"]["waiting"] == 2
+            )
+            time.sleep(0.05)
+            assert len(gate.entered) == 2
+            assert status["requests"]["active"] == 5  # this status too
+            gate.release.set()
+            for thread in (held, further):
+                thread.join(timeout=30)
+            for future in (held_future, further_future):
+                assert future.result(timeout=30)["count"] > 0
+            assert len(results) == 2 and len(gate.entered) == 4
+            assert further.ident in gate.entered
+
+    def test_status_reports_waiting_requests_and_memo_entries(self, tsession):
+        with ServiceDaemon(tsession, workers=2) as daemon:
+            for _ in range(2):  # admitted to the memo on its second use
+                daemon.call("spack_spec", {"spec": "libelf"})
+            gate = _Gate(daemon)
+            results = []
+            threads = [_calling(daemon, "spack_list", results)
+                       for _ in range(5)]
+            gate.wait_entered(2)
+            status = _wait_for_status(
+                daemon, lambda s: s["requests"]["waiting"] == 3
+            )
+            assert status["snapshot"]["memo_entries"] == 1
+            gate.release.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert len(results) == 5
+            status = daemon.call("status")
+            assert status["requests"]["waiting"] == 0
+            assert status["requests"]["active"] == 1  # this status
+
+    def test_rejected_requests_leave_nothing_admitted(self, tsession):
+        daemon = ServiceDaemon(tsession, workers=2)
+        with pytest.raises(TypeError):
+            daemon.submit("spack_list", [1, 2])
+        with pytest.raises(ServiceError, match="Bad parameters"):
+            daemon.call("spack_list", [1, 2])
+        with pytest.raises(ServiceError, match="Unknown endpoint"):
+            daemon.call("spack_build_everything")
+        closer = threading.Thread(target=daemon.close, daemon=True)
+        closer.start()
+        closer.join(timeout=30)
+        assert not closer.is_alive()
+
+    def test_close_waits_for_an_in_flight_call(self, tsession):
+        daemon = ServiceDaemon(tsession, workers=2)
+        gate = _Gate(daemon)
+        results = []
+        caller = _calling(daemon, "spack_list", results)
+        gate.wait_entered(1)
+        assert gate.entered == [caller.ident]
+        closed = threading.Event()
+        closer = threading.Thread(
+            target=lambda: (daemon.close(), closed.set()), daemon=True
+        )
+        closer.start()
+        deadline = time.time() + 30
+        while not daemon.shutdown_event.is_set() and time.time() < deadline:
+            time.sleep(0.002)
+        with pytest.raises(ServiceError, match="shutting down"):
+            daemon.call("spack_list")
+        assert not closed.wait(timeout=0.1)  # the call is still running
+        gate.release.set()
+        assert closed.wait(timeout=30)
+        caller.join(timeout=30)
+        assert results and results[0]["count"] > 0
+
+
 class TestBatching:
     def test_thundering_herd_concretizes_once(self, tsession, hub):
         with ServiceDaemon(tsession, workers=8) as daemon:

@@ -1,12 +1,14 @@
 """Snapshot-isolated read state: digest parity with the live session,
 immutability under mid-flight mutation, and fork-on-token-change."""
 
+import fnmatch
 import json
 
 import pytest
 
 from repro.config.config import ConfigError
 from repro.core.conc_cache import EnvironmentDigest
+from repro.errors import ReproError
 from repro.repo.repository import NoSuchPackageError
 from repro.service.snapshot import SnapshotManager, StateSnapshot
 from repro.session import Session
@@ -115,6 +117,16 @@ class TestFrozenState:
             n for n in everything if "mpi" in n
         ]
 
+    @pytest.mark.parametrize(
+        "pattern", ["mpi", "lib?lf", "[cd]yn", "[!a-l]pi", "py-*", "x[", "zz"]
+    )
+    def test_list_packages_globs_as_fnmatch_does(self, tsession, pattern):
+        snapshot = StateSnapshot(tsession)
+        everything = snapshot.list_packages()
+        assert snapshot.list_packages(pattern) == [
+            n for n in everything if fnmatch.fnmatch(n, "*%s*" % pattern)
+        ]
+
     def test_package_info_is_json_able(self, tsession):
         snapshot = StateSnapshot(tsession)
         info = snapshot.package_info("mpileaks")
@@ -147,6 +159,24 @@ class TestSnapshotManager:
         assert str(new.concretize("mpileaks").compiler).startswith("clang")
         assert str(old.concretize("mpileaks").compiler).startswith("gcc")
 
+    def test_adding_a_compiler_forks(self, tsession):
+        from repro.compilers.registry import Compiler
+
+        manager = SnapshotManager(tsession)
+        old = manager.current()
+        token = tsession.compilers.mutation_token()
+        tsession.compilers.add(Compiler("gcc", "9.9.9"))
+        assert tsession.compilers.mutation_token() == token + 1
+        new = manager.current()
+        assert new is not old
+        assert manager.forks == 2
+        assert new.env_digest != old.env_digest
+        assert "gcc@9.9.9" in [str(c) for c in new.compilers.all_compilers()]
+        # a compiler already registered changes nothing
+        tsession.compilers.add(Compiler("gcc", "9.9.9"))
+        assert tsession.compilers.mutation_token() == token + 1
+        assert manager.current() is new
+
     def test_package_registration_forks(self, tsession):
         from repro.package.package import Package
 
@@ -169,7 +199,6 @@ class TestMemoBound:
         ``MEMO_ENTRIES``: one request past the cap evicts exactly the
         least recently used entry."""
         from repro.service.snapshot import MEMO_ENTRIES
-        from repro.spec.spec import Spec
 
         session = Session.create(
             str(tmp_path / "u"), telemetry=hub,
@@ -188,7 +217,7 @@ class TestMemoBound:
         assert len(state._memo) == MEMO_ENTRIES
 
         def memoized(text):
-            return state.cache_key(Spec(text), "greedy") in state._memo
+            return state.memo_key(text, "greedy") in state._memo
 
         assert not memoized(texts[1])
         assert all(memoized(t) for t in texts[:1] + texts[2:])
@@ -245,3 +274,84 @@ class TestMemoBound:
         assert len(state._memo) == MEMO_ENTRIES
         total = n_threads * per_thread
         assert hub.counter("concretize.cache.evict") == total - MEMO_ENTRIES
+
+
+class TestTextKeyedMemo:
+    """A repeated request is one memo lookup: no parse of its text and
+    no persistent-cache key."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        from repro.core.conc_cache import ConcretizationCache
+        from repro.spec import parser
+
+        calls = {"parse": 0, "make_key": 0}
+        real_parse = parser.parse_specs
+        real_make_key = ConcretizationCache.make_key
+
+        def counting_parse(*args, **kwargs):
+            calls["parse"] += 1
+            return real_parse(*args, **kwargs)
+
+        def counting_make_key(*args):
+            calls["make_key"] += 1
+            return real_make_key(*args)
+
+        monkeypatch.setattr(parser, "parse_specs", counting_parse)
+        monkeypatch.setattr(
+            ConcretizationCache, "make_key", staticmethod(counting_make_key)
+        )
+        return calls
+
+    def test_repeated_daemon_request_parses_and_hashes_nothing(
+        self, tsession, counted
+    ):
+        from repro.service import ServiceDaemon
+
+        with ServiceDaemon(tsession) as daemon:
+            request = {"spec": "mpileaks ^mpich"}
+            first = daemon.call("spack_spec", dict(request))
+            assert counted["parse"] >= 1 and counted["make_key"] == 1
+            daemon.call("spack_spec", dict(request))  # admitted from disk
+            counted.update(parse=0, make_key=0)
+            for _ in range(3):
+                again = daemon.call("spack_spec", dict(request))
+            assert counted == {"parse": 0, "make_key": 0}
+            assert again["dag_hash"] == first["dag_hash"]
+            # a failing text: memoized at once, raised with no parse
+            with pytest.raises(ReproError):
+                daemon.call("spack_spec", {"spec": "libelf ^mpich"})
+            counted.update(parse=0, make_key=0)
+            with pytest.raises(ReproError):
+                daemon.call("spack_spec", {"spec": "libelf ^mpich"})
+            assert counted == {"parse": 0, "make_key": 0}
+
+    def test_repeated_session_request_parses_and_hashes_nothing(
+        self, tsession, counted
+    ):
+        answer = tsession.concretize("libdwarf")
+        assert tsession.concretize("libdwarf") == answer
+        counted.update(parse=0, make_key=0)
+        assert tsession.concretize("libdwarf") is tsession.concretize("libdwarf")
+        assert counted == {"parse": 0, "make_key": 0}
+
+    def test_texts_are_keys_and_the_disk_key_stays_canonical(self, tsession):
+        """Two spellings of one spec are two memo entries over one
+        persistent-cache entry."""
+        tsession.concretize("libdwarf ^libelf")
+        tsession.concretize("libdwarf  ^libelf")
+        assert len(tsession.concretize_cache) == 1
+        state = tsession.snapshots.current()
+        assert state.memo_key("libdwarf ^libelf", "greedy") == (
+            "libdwarf ^libelf", "greedy", None
+        )
+
+    def test_reusing_variant_keys_on_the_installed_set(self, tsession):
+        state = tsession.snapshots.current()
+        db = tsession.db
+        before = state.memo_key("libdwarf", "solver", db)
+        assert before[2] is not None
+        assert state.memo_key("libdwarf", "greedy", db)[2] is None
+        tsession.install("libelf")
+        after = state.memo_key("libdwarf", "solver", db)
+        assert after[:2] == before[:2] and after[2] != before[2]

@@ -168,6 +168,40 @@ class TestMultipleSpecs:
             Spec("mpileaks callpath")
 
 
+class TestSpecFromText:
+    """``Spec(text)`` parses straight into the new object: one parse, no
+    copy of a temporary."""
+
+    TEXT = "mpileaks@1.2:1.4%gcc@4.7.5~debug=bgq ^callpath@1.1 ^openmpi@1.4.7"
+
+    def test_one_parse_and_no_copy(self, monkeypatch):
+        from repro.spec import parser
+
+        calls = {"parse": 0, "dup": 0}
+        real_parse, real_dup = parser.parse_specs, Spec._dup
+
+        def counting_parse(*args, **kwargs):
+            calls["parse"] += 1
+            return real_parse(*args, **kwargs)
+
+        def counting_dup(self, *args, **kwargs):
+            calls["dup"] += 1
+            return real_dup(self, *args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_specs", counting_parse)
+        monkeypatch.setattr(Spec, "_dup", counting_dup)
+        spec = Spec(self.TEXT)
+        assert calls == {"parse": 1, "dup": 0}
+        assert spec == parse_specs(self.TEXT)[0]
+        assert str(spec) == str(parse_specs(self.TEXT)[0])
+        assert sorted(spec.dependencies) == ["callpath", "openmpi"]
+
+    @pytest.mark.parametrize("text", ["", "   ", "mpileaks libelf"])
+    def test_not_exactly_one_spec_raises(self, text):
+        with pytest.raises(SpecParseError, match="exactly one spec"):
+            Spec(text)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "text",

@@ -183,6 +183,35 @@ class TestTransactionCost:
         assert len(Database(db.root)) == 51
 
 
+class TestQueryCost:
+    def test_query_parses_its_text_once(self, tmp_path, monkeypatch):
+        from repro.spec import parser
+
+        db = _filled(str(tmp_path), count=12)
+        expected = [str(r.spec) for r in db.all_records()]
+        parses = []
+        real_parse = parser.parse_specs
+
+        def counting_parse(*args, **kwargs):
+            parses.append(args[0])
+            return real_parse(*args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_specs", counting_parse)
+        found = db.query("libelf")
+        assert parses == ["libelf"]
+        # every record matches, in the order all_records() gives
+        assert [str(r.spec) for r in found] == expected
+        del parses[:]
+        assert [str(r.spec) for r in db.query("libelf@0.8.3")] == [
+            "libelf@0.8.3%gcc@4.9.2=linux-x86_64"
+        ]
+        assert parses == ["libelf@0.8.3"]
+
+    def test_hashes_are_the_record_keys_sorted(self, tmp_path):
+        db = _filled(str(tmp_path), count=5)
+        assert db.hashes() == sorted(r.spec.dag_hash() for r in db.query())
+
+
 class TestThreadedWriters:
     def test_concurrent_adds_on_shared_database_all_persist(self, session):
         db = session.db
