@@ -36,7 +36,7 @@ def test_fig6_pipeline_trace(bench_session, benchmark):
     ]
     lines.append("  %s" % "; ".join(providers))
 
-    changed = concretizer._concretize_parameters(work)
+    changed = concretizer._concretize_parameters(work, {})
     lines.append("[concretize parameters]  changed=%s" % changed)
     for node in work.traverse():
         lines.append("  %s" % node.node_str())

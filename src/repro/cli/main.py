@@ -1061,8 +1061,8 @@ def build_parser():
             )
             p.add_argument(
                 "-j", "--jobs", type=int, default=None, metavar="N",
-                help="concurrent per-root solves (concretize/install); "
-                     "the unified result is identical at any width",
+                help="parallel install width (install); accepted and "
+                     "without effect for concretize: roots solve in order",
             )
             p.add_argument(
                 "--concretizer", choices=tuple(CONCRETIZERS), default=None,

@@ -24,6 +24,7 @@ choice leads to a contradiction the user gets an error and resolves it by
 being more explicit (§4.5's ``hwloc`` example is a test case).
 """
 
+from repro.compilers.registry import CompilerFeatureError
 from repro.errors import ReproError
 from repro.spec.errors import UnknownVariantError, UnsatisfiableSpecError
 from repro.spec.spec import Spec
@@ -148,6 +149,9 @@ class Concretizer:
         # activates later; an explicit one may not.
         for node in spec.traverse():
             node._explicit_compiler = node.compiler is not None
+        # (compiler, requirements) -> best registered compiler: the
+        # registry cannot change during one concretization
+        compiler_choices = {}
 
         for iteration in range(MAX_ITERATIONS):
             changed = self._expand_dependencies(spec)
@@ -156,7 +160,7 @@ class Concretizer:
                            nodes=sorted(n.name for n in spec.traverse()))
             virtual_changed = self._resolve_virtuals(spec)
             changed |= virtual_changed
-            param_changed = self._concretize_parameters(spec)
+            param_changed = self._concretize_parameters(spec, compiler_choices)
             changed |= param_changed
             if self._observing():
                 self._emit("iteration", iteration=iteration, changed=changed)
@@ -210,7 +214,6 @@ class Concretizer:
                 if dep_name in candidate.provided_virtuals:
                     if parent.dependencies.get(candidate.name) is not candidate:
                         parent.dependencies[candidate.name] = candidate
-                        parent.invalidate_caches()
                         changed = True
                     return changed
 
@@ -224,7 +227,6 @@ class Concretizer:
             if existing is not None and existing is not target:
                 target.constrain(existing, deps=False)
             parent.dependencies[dep_name] = target
-            parent.invalidate_caches()
             changed = True
         try:
             changed |= target.constrain(constraint, deps=False)
@@ -317,10 +319,11 @@ class Concretizer:
             if node.dependencies.get(vnode.name) is vnode:
                 del node.dependencies[vnode.name]
                 node.dependencies[provider.name] = provider
-                node.invalidate_caches()
 
     # -- stage 3: parameter concretization ------------------------------------------------
-    def _concretize_parameters(self, spec):
+    # Parameter writes go through the Spec setters and the owned
+    # VariantMap, which invalidate the node's caches as they write.
+    def _concretize_parameters(self, spec, compiler_choices):
         changed = False
         root = spec
         for node in spec.traverse():
@@ -329,7 +332,7 @@ class Concretizer:
             cls = self.repo.get_class(node.name)
             changed |= self._apply_external(node)
             changed |= self._concretize_version(node, cls)
-            changed |= self._concretize_compiler(node, root, cls)
+            changed |= self._concretize_compiler(node, root, cls, compiler_choices)
             changed |= self._concretize_variants(node, cls)
             changed |= self._concretize_architecture(node, root)
         return changed
@@ -355,7 +358,6 @@ class Concretizer:
         if chosen is None:
             raise NoSatisfyingVersionError(node.name, node.versions)
         node.versions = VersionList([chosen])
-        node.invalidate_caches()
         return True
 
     def _active_compiler_requirements(self, node, cls):
@@ -366,7 +368,7 @@ class Concretizer:
             if when is None or node.satisfies(when, strict=True)
         ]
 
-    def _concretize_compiler(self, node, root, cls):
+    def _concretize_compiler(self, node, root, cls, choices):
         changed = False
         requirements = self._active_compiler_requirements(node, cls)
         if node.compiler is None:
@@ -380,18 +382,13 @@ class Concretizer:
                     % (node.name, ", ".join(map(str, requirements)) or "any")
                 )
             node.compiler = cspec.copy()
-            node.invalidate_caches()
             changed = True
         # Always resolve through the registry: ``%gcc@4.7`` means "the
         # best *registered* gcc in the 4.7 family" (§3.2.3) that also
         # satisfies the node's feature requirements; an unregistered or
         # feature-lacking compiler is an error even for point versions.
-        from repro.compilers.registry import CompilerFeatureError
-
         try:
-            best = self.policy.choose_compiler_version(
-                self.compilers, node.compiler, requirements=requirements
-            )
+            best = self._best_compiler(node.compiler, requirements, choices)
         except CompilerFeatureError:
             if getattr(node, "_explicit_compiler", False):
                 raise
@@ -403,23 +400,31 @@ class Concretizer:
             if cspec is None:
                 raise
             node.compiler = cspec.copy()
-            node.invalidate_caches()
             changed = True
-            best = self.policy.choose_compiler_version(
-                self.compilers, node.compiler, requirements=requirements
-            )
+            best = self._best_compiler(node.compiler, requirements, choices)
         if node.compiler.versions.concrete != best.version:
+            # an in-place write to the CompilerSpec: the node cannot see it
             node.compiler.versions = VersionList([best.version])
             node.invalidate_caches()
             changed = True
         return changed
+
+    def _best_compiler(self, cspec, requirements, choices):
+        """The policy's best registered compiler for ``cspec`` under
+        ``requirements``, chosen once per distinct pair in ``choices``."""
+        key = (cspec.name, tuple(cspec.versions), tuple(requirements))
+        best = choices.get(key)
+        if best is None:
+            best = choices[key] = self.policy.choose_compiler_version(
+                self.compilers, cspec, requirements=requirements
+            )
+        return best
 
     def _concretize_variants(self, node, cls):
         changed = False
         for vname, variant in cls.variants.items():
             if vname not in node.variants:
                 node.variants[vname] = self.policy.choose_variant(node.name, variant)
-                node.invalidate_caches()
                 changed = True
         return changed
 
@@ -428,7 +433,6 @@ class Concretizer:
             return False
         parent = root.architecture if node is not root else None
         node.architecture = self.policy.choose_architecture(parent)
-        node.invalidate_caches()
         return True
 
     def _edge_justified(self, parent, child):
@@ -461,7 +465,6 @@ class Concretizer:
             for name, child in list(node.dependencies.items()):
                 if not self._edge_justified(node, child):
                     del node.dependencies[name]
-                    node.invalidate_caches()
                     pruned.append(child)
         if not pruned:
             return

@@ -4,7 +4,7 @@ Public surface:
 
 * :class:`~repro.env.environment.Environment` — durable manifest +
   lockfile around a root set.
-* :func:`~repro.env.unify.unify_roots` — the concurrent solve +
+* :func:`~repro.env.unify.unify_roots` — the per-root solve +
   merge/unify engine.
 * :class:`~repro.env.unify.UnifiedEnvironment` — the unified result.
 * :class:`~repro.env.unify.EnvironmentConflictError` — two roots

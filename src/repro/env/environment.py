@@ -22,30 +22,24 @@ import os
 from repro.env.unify import UnifiedEnvironment, unify_roots
 from repro.errors import ReproError
 from repro.spec.spec import Spec
-from repro.util.filesystem import mkdirp
+from repro.util.filesystem import atomic_write, mkdirp
 
 MANIFEST_NAME = "env.json"
 LOCK_NAME = "env.lock.json"
 
 
-def unify_on_state(session, state, roots, variant, name, jobs=None,
-                   use_cache=True):
+def unify_on_state(session, state, roots, variant, name, use_cache=True):
     """Unify ``roots`` with every per-root solve on one State (a
     :class:`~repro.service.snapshot.StateSnapshot`), under an
     ``env.concretize`` span named ``name``."""
-    if jobs is None:
-        jobs = session.install_jobs
     with session.telemetry.span(
-        "env.concretize", environment=name, roots=len(roots), jobs=jobs,
-        variant=variant,
+        "env.concretize", environment=name, roots=len(roots), variant=variant,
     ):
         return unify_roots(
             roots,
             lambda spec: state.concretize(
                 spec, variant, database=session.db, use_cache=use_cache
             ),
-            jobs=jobs,
-            telemetry=session.telemetry,
         )
 
 
@@ -59,7 +53,7 @@ class Environment:
 
     >>> env = Environment(path, name="dev")
     >>> env.add("mpileaks"); env.add("dyninst ^libelf@0.8.12")
-    >>> unified = env.concretize(session, jobs=4)
+    >>> unified = env.concretize(session)
     """
 
     def __init__(self, path, name=None):
@@ -137,7 +131,9 @@ class Environment:
                    use_cache=True, force=False):
         """Concretize every root *together* (see :mod:`repro.env.unify`)
         against the session's current State, so every root resolves
-        under one package/config state.
+        under one package/config state.  Roots solve in order on the
+        caller's thread; ``jobs`` is accepted for callers that pass it
+        and does not affect concretization.
 
         Warm path: an up-to-date lockfile (same environment key) is
         restored directly — every stored DAG is deserialized and its
@@ -155,12 +151,15 @@ class Environment:
         session.telemetry.count("env.lock.miss")
         unified = unify_on_state(
             session, state, self.roots, variant, self.name,
-            jobs=jobs, use_cache=use_cache,
+            use_cache=use_cache,
         )
         self._write_lock(env_key, variant, unified)
         return unified
 
     def _write_lock(self, env_key, variant, unified):
+        """Write the lockfile whole, by one rename (a crash leaves the old
+        lock or the new one), as compact JSON; :meth:`_read_lock` reads
+        this and the indented form older versions wrote alike."""
         mkdirp(self.path)
         blob = json.dumps(
             {
@@ -177,10 +176,9 @@ class Environment:
                     for text, concrete in unified.roots
                 ],
             },
-            indent=1, sort_keys=True,
+            sort_keys=True,
         )
-        with open(self._lock_path(), "w") as f:
-            f.write(blob + "\n")
+        atomic_write(self._lock_path(), (blob + "\n").encode())
 
     def _read_lock(self):
         try:

@@ -1,8 +1,8 @@
 """The environment merge/unify engine.
 
 An environment's roots are concretized *together*: first every root is
-solved independently (concurrently — per-root concretization is a pure
-function, so the result set is identical at ``-j 1`` and ``-j N``),
+solved independently, in order, on the caller's thread (a solve is pure
+Python under the GIL, so a thread pool only adds its own overhead),
 then a merge phase reconciles the results so that any package appearing
 in several root DAGs resolves to **one** concrete node (one
 ``dag_hash``) environment-wide, and any virtual interface resolves to
@@ -21,8 +21,6 @@ This is the coherent-set semantics Guix-style environments argue for
 HPC*): per-root resolution that is allowed to drift is exactly where
 "dependency chaos" breakage hides.
 """
-
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.errors import ReproError
 from repro.spec.errors import SpecError
@@ -145,17 +143,10 @@ class _RootFailure(Exception):
         self.error = error
 
 
-def _solve_all(roots, concretize_fn, jobs, telemetry):
-    """Concretize every listed root, concurrently when jobs > 1.
-
-    Results are assigned back positionally, and per-root concretization
-    is pure, so the outcome is independent of pool width and completion
-    order.  Worker spans adopt the caller's trace context (the PR 6
-    discipline) so an environment solve is one coherent trace.  A
-    failing root raises :class:`_RootFailure` — deterministically the
-    *first* failing root by position, no matter which worker finished
-    first.
-    """
+def _solve_all(roots, concretize_fn):
+    """Concretize every listed root, in order.  The first root whose
+    request or solve fails with a typed error raises
+    :class:`_RootFailure`."""
     requests = []
     for root in roots:
         try:
@@ -165,37 +156,11 @@ def _solve_all(roots, concretize_fn, jobs, telemetry):
             # pinned to dep@2.5): that is this root rejecting the
             # candidate, reported exactly like a failed solve
             raise _RootFailure(root, error) from error
-    if jobs <= 1 or len(requests) <= 1:
-        for root, request in requests:
-            try:
-                root.concrete = concretize_fn(request)
-            except (SpecError, ReproError) as error:
-                raise _RootFailure(root, error) from error
-        return
-    context = telemetry.capture() if telemetry is not None else None
-
-    def solve(request):
-        if telemetry is not None:
-            with telemetry.adopt(context):
-                return concretize_fn(request)
-        return concretize_fn(request)
-
-    with ThreadPoolExecutor(
-        max_workers=jobs, thread_name_prefix="env-solve"
-    ) as pool:
-        futures = [pool.submit(solve, request) for _, request in requests]
-        failure = None
-        for (root, _), future in zip(requests, futures):
-            exc = future.exception()
-            if exc is not None:
-                if failure is None and isinstance(exc, (SpecError, ReproError)):
-                    failure = _RootFailure(root, exc)
-                elif failure is None:
-                    raise exc  # not a typed error: propagate raw
-            else:
-                root.concrete = future.result()
-        if failure is not None:
-            raise failure
+    for root, request in requests:
+        try:
+            root.concrete = concretize_fn(request)
+        except (SpecError, ReproError) as error:
+            raise _RootFailure(root, error) from error
 
 
 def _divergences(roots):
@@ -265,24 +230,22 @@ def _affected_roots(roots, kind, name):
     return hit
 
 
-def unify_roots(root_texts, concretize_fn, jobs=1, telemetry=None,
-                max_rounds=None):
+def unify_roots(root_texts, concretize_fn, max_rounds=None):
     """Concretize many roots into one coherent environment.
 
-    ``concretize_fn(spec) -> concrete Spec`` must be pure and
-    thread-safe (``Session.concretize`` and
-    ``StateSnapshot.concretize`` both qualify).  Raises
-    :class:`EnvironmentConflictError` when roots genuinely conflict;
-    per-root typed errors (unknown package, unsatisfiable request)
-    propagate as-is.
+    ``concretize_fn(spec) -> concrete Spec`` must be pure
+    (``Session.concretize`` and ``StateSnapshot.concretize`` both
+    qualify); it is called on the caller's thread, one root at a time.
+    Raises :class:`EnvironmentConflictError` when roots genuinely
+    conflict; per-root typed errors (unknown package, unsatisfiable
+    request) propagate as-is.
     """
     texts = [str(t) for t in root_texts]
     if not texts:
         return UnifiedEnvironment([], rounds=0, resolves=0, pins={})
-    jobs = max(1, int(jobs or 1))
     roots = [_Root(text) for text in texts]
     try:
-        _solve_all(roots, concretize_fn, jobs, telemetry)
+        _solve_all(roots, concretize_fn)
     except _RootFailure as failure:
         raise failure.error  # an unpinned root failed on its own terms
     resolves = len(roots)
@@ -337,7 +300,7 @@ def unify_roots(root_texts, concretize_fn, jobs=1, telemetry=None,
                 root.pins[name] = pin_text
                 trial.append((root, saved))
             try:
-                _solve_all(affected, concretize_fn, jobs, telemetry)
+                _solve_all(affected, concretize_fn)
                 resolves += len(affected)
             except _RootFailure as failure:
                 # typed rejection: some root cannot live with this
@@ -345,7 +308,7 @@ def unify_roots(root_texts, concretize_fn, jobs=1, telemetry=None,
                 attempts.append((pin_text, failure.root.text, failure.error))
                 for root, saved in trial:
                     root.pins = saved
-                _solve_all(affected, concretize_fn, jobs, telemetry)
+                _solve_all(affected, concretize_fn)
                 resolves += len(affected)
                 continue
             pins[name] = pin_text

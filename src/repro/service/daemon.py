@@ -252,9 +252,8 @@ class ServiceDaemon:
 
     def _ep_spack_info(self, package):
         snapshot = self.snapshots.current()
-        info = snapshot.package_info(package)
-        info["env_digest"] = snapshot.env_digest
-        return info
+        return dict(snapshot.package_info(package),
+                    env_digest=snapshot.env_digest)
 
     def _ep_spack_spec(self, spec, concretizer=None):
         snapshot = self.snapshots.current()
@@ -316,7 +315,9 @@ class ServiceDaemon:
         under ONE consistent package/config state even if a mutation
         lands mid-unification.  Per-root solves go through the batched
         ``_concretize`` path, so two clients unifying overlapping
-        environments coalesce their shared roots."""
+        environments coalesce their shared roots.  Roots solve in order
+        on the request's thread; ``jobs`` is accepted and changes
+        nothing."""
         from repro.env.unify import unify_roots
 
         if not isinstance(roots, (list, tuple)) or not roots:
@@ -325,12 +326,9 @@ class ServiceDaemon:
             )
         snapshot = self.snapshots.current()
         variant = snapshot.variant(concretizer)
-        jobs = max(1, int(jobs or 1))
         unified = unify_roots(
             [str(r) for r in roots],
             lambda spec: self._concretize(snapshot, spec, variant),
-            jobs=jobs,
-            telemetry=self.session.telemetry,
         )
         stats = unified.stats()
         return {

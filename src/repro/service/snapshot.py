@@ -162,6 +162,8 @@ class StateSnapshot:
         #: first; guarded — many request threads share one snapshot
         self._memo = OrderedDict()
         self._lock = threading.Lock()
+        #: package name -> its package_info answer, built on first use
+        self._infos = {}
 
     @property
     def env_digest(self):
@@ -265,13 +267,14 @@ class StateSnapshot:
         master = self._recall(key)
         if master is not None:
             return master
+        text, variant, installed = key
         if isinstance(spec, str):
             spec = Spec(spec)
-        _, variant, installed = key
+            text = str(spec)  # the canonical text the disk key is over
         digest = self.env_digest
         if installed is not None:
             digest = "%s/%s" % (digest, installed)
-        disk_key = ConcretizationCache.make_key(str(spec), digest, variant)
+        disk_key = ConcretizationCache.make_key(text, digest, variant)
         cached = self._lookup(disk_key, spec, variant)
         if cached is not None:
             self._remember(key, cached)
@@ -329,7 +332,17 @@ class StateSnapshot:
         return names
 
     def package_info(self, name):
-        """JSON-able metadata for one package (``spack_info``, ``info``)."""
+        """JSON-able metadata for one package (``spack_info``, ``info``).
+
+        Built once per snapshot and package, then shared: a caller that
+        adds to an answer copies it first (``_ep_spack_info`` adds
+        ``env_digest`` to a copy)."""
+        info = self._infos.get(name)
+        if info is None:
+            info = self._infos[name] = self._package_info(name)
+        return info
+
+    def _package_info(self, name):
         cls = self.repo.get_class(name)
         doc = (cls.__doc__ or "").strip()
         return {

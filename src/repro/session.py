@@ -334,7 +334,9 @@ class Session:
         """Concretize an environment's roots together (see
         :mod:`repro.env.unify`).  ``env`` is an Environment, an env
         name, or a plain list of abstract root texts (resolved as an
-        anonymous in-memory environment — no lockfile)."""
+        anonymous in-memory environment — no lockfile).  Roots solve in
+        order on the caller's thread; ``jobs`` is accepted and does not
+        affect concretization."""
         from repro.env.environment import Environment, unify_on_state
 
         if isinstance(env, str):
@@ -347,7 +349,7 @@ class Session:
         state = self.snapshots.current()
         return unify_on_state(
             self, state, list(env), state.variant(concretizer),
-            "<anonymous>", jobs=jobs, use_cache=use_cache,
+            "<anonymous>", use_cache=use_cache,
         )
 
     def forget_concretizations(self):

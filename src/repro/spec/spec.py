@@ -23,9 +23,12 @@ conflicting parameter kind when the intersection is empty.
 """
 
 import hashlib
+import itertools
+import operator
 import weakref
 
 from repro.spec import errors as err
+from repro.util.intern import InternPool
 from repro.util.lang import key_ordering
 from repro.util.naming import validate_name
 from repro.version import VersionList, any_version, ver
@@ -42,6 +45,25 @@ DEFAULT_DEPTYPES = ("build", "link")
 #: the edge types that contribute to :meth:`Spec.runtime_hash` — the
 #: sub-DAG a built binary actually carries into production
 RUNTIME_DEPTYPES = frozenset(("link", "run"))
+
+_DEFAULT_EDGE = frozenset(DEFAULT_DEPTYPES)
+
+#: every valid edge-type set by its sorted names (how ``to_dict`` stores
+#: it), and the text each contributes to the DAG hashes
+_EDGE_TYPES = {
+    names: frozenset(names)
+    for n in range(1, len(ALL_DEPTYPES) + 1)
+    for names in itertools.combinations(sorted(ALL_DEPTYPES), n)
+}
+_EDGE_TEXT = {types: ",".join(names) for names, types in _EDGE_TYPES.items()}
+
+#: the provided virtuals of a frozen node that provides none (most do)
+_NO_VIRTUALS = frozenset()
+
+#: stored compiler texts (``gcc@4.9.2``) that :meth:`Spec.from_dict`
+#: parsed -> (name, version constraints, canonical text): a long-lived
+#: process parses each distinct text once
+_STORED_COMPILERS = InternPool(maxsize=4096)
 
 
 def canonical_deptype(deptype):
@@ -170,7 +192,6 @@ class VariantMap(dict):
     """
 
     def __init__(self, owner=None):
-        super().__init__()
         self._owner_ref = weakref.ref(owner) if owner is not None else None
 
     __setitem__ = _owner_write(dict.__setitem__)
@@ -238,7 +259,6 @@ class _DependencyMap(dict):
     __slots__ = ("_owner_ref", "_edge_types")
 
     def __init__(self, owner):
-        super().__init__()
         self._owner_ref = weakref.ref(owner)
         #: name -> frozenset of dependency types for that edge
         self._edge_types = {}
@@ -253,7 +273,7 @@ class _DependencyMap(dict):
     def __setitem__(self, name, dep):
         owner = self._writable_owner()
         super().__setitem__(name, dep)
-        self._edge_types.setdefault(name, frozenset(DEFAULT_DEPTYPES))
+        self._edge_types.setdefault(name, _DEFAULT_EDGE)
         if owner is not None:
             if isinstance(dep, Spec):
                 dep._register_parent(owner)
@@ -280,7 +300,7 @@ class _DependencyMap(dict):
 
     def deptypes(self, name):
         """The dependency-type set of the edge to ``name``."""
-        return self._edge_types.get(name, frozenset(DEFAULT_DEPTYPES))
+        return self._edge_types.get(name, _DEFAULT_EDGE)
 
     def set_deptypes(self, name, deptypes):
         """Re-type an existing edge; returns True if the types changed."""
@@ -375,7 +395,7 @@ class Spec:
         for dep in dependencies or ():
             self._add_dependency(dep if isinstance(dep, Spec) else Spec(dep))
 
-    def _init_empty(self):
+    def _init_empty(self, versions=None):
         #: set by freeze(): every write below raises FrozenSpecError
         self._frozen = False
         #: id(parent) -> weakref to parents holding an edge to this node;
@@ -390,7 +410,7 @@ class Spec:
         self._dkey = None
         self._smemo = {}
         self._p_name = None
-        self._p_versions = any_version()
+        self._p_versions = any_version() if versions is None else versions
         self._p_compiler = None
         self._p_variants = VariantMap(owner=self)
         self._p_architecture = None
@@ -405,12 +425,11 @@ class Spec:
     # node/DAG reprs, hash, and memo tables on this node and its ancestors,
     # or raises FrozenSpecError on a frozen node.  Mutation discipline
     # therefore has a single choke point instead of being scattered across
-    # every caller.
+    # every caller.  Reads are the hot side (the concretizer reads
+    # parameters hundreds of thousands of times per run), so they go
+    # through a C-level attrgetter.
     def _make_param(attr):  # noqa: N805 - class-body helper, deleted below
         private = "_p_" + attr
-
-        def fget(self):
-            return getattr(self, private)
 
         def fset(self, value):
             if self._frozen:
@@ -418,7 +437,7 @@ class Spec:
             setattr(self, private, value)
             self.invalidate_caches()
 
-        return property(fget, fset)
+        return property(operator.attrgetter(private), fset)
 
     name = _make_param("name")
     versions = _make_param("versions")
@@ -441,13 +460,17 @@ class Spec:
         self.invalidate_caches()
 
     def _dup_node(self, other):
-        """Copy ``other``'s node-level fields (everything but edges)."""
-        self.name = other.name
-        self.versions = other.versions.copy()
-        self.compiler = other.compiler.copy() if other.compiler else None
-        self.variants = other.variants.copy()
-        self.architecture = other.architecture
-        self.external = other.external
+        """Copy ``other``'s node-level fields (everything but edges) into
+        this fresh node: it has no cached state and no parents, so the
+        fields are written directly, not through the invalidating
+        setters."""
+        self._p_name = other._p_name
+        self._p_versions = other._p_versions.copy()
+        compiler = other._p_compiler
+        self._p_compiler = compiler.copy() if compiler else None
+        dict.update(self._p_variants, other._p_variants)
+        self._p_architecture = other._p_architecture
+        self._p_external = other._p_external
         self.provided_virtuals = set(other.provided_virtuals)
         self.namespace = other.namespace
         self._concrete = other._concrete
@@ -510,11 +533,11 @@ class Spec:
             raise err.DuplicateDependencyError(
                 "Cannot depend on %r twice" % dep_spec.name
             )
+        # the edge write invalidates this node and its ancestors
         if deptypes is None:
             self.dependencies[dep_spec.name] = dep_spec
         else:
             self.dependencies.set_edge(dep_spec.name, dep_spec, deptypes)
-        self.invalidate_caches()
 
     def _register_parent(self, parent):
         """Record a weak back-reference to a parent holding an edge here
@@ -830,22 +853,36 @@ class Spec:
         if self._frozen:
             raise err.FrozenSpecError(self.name, "constraints")
         other = other if isinstance(other, Spec) else Spec(other)
+        if (
+            other._p_compiler is None
+            and other._p_architecture is None
+            and other._p_external is None
+            and not other._p_variants
+            and not (deps and other.dependencies)
+            and other._p_name in (None, self._p_name)
+            and other._p_versions.universal
+            and self._p_versions.constraints
+        ):
+            # a bare name (``depends_on('libelf')``) constrains nothing
+            return False
         if other.name is not None and self.name is not None and self.name != other.name:
             raise err.UnsatisfiableSpecNameError(self.name, other.name)
 
+        # the setters, the owned VariantMap and edge writes invalidate
+        # as they write; only the in-place version narrowing here does not
         changed = False
         if self.name is None and other.name is not None:
             self.name = other.name
             changed = True
         if not self.versions.overlaps(other.versions):
             raise err.UnsatisfiableVersionSpecError(self.versions, other.versions)
-        changed |= self.versions.intersect(other.versions)
+        narrowed = self.versions.intersect(other.versions)
         if other.compiler is not None:
             if self.compiler is None:
                 self.compiler = other.compiler.copy()
                 changed = True
             else:
-                changed |= self.compiler.constrain(other.compiler)
+                narrowed |= self.compiler.constrain(other.compiler)
         changed |= self.variants.constrain(other.variants)
         if other.architecture is not None:
             if self.architecture is None:
@@ -861,9 +898,9 @@ class Spec:
                 changed = True
         if deps and other.dependencies:
             changed |= self._constrain_dependencies(other)
-        if changed:
+        if narrowed:
             self.invalidate_caches()
-        return changed
+        return changed or narrowed
 
     def _constrain_dependencies(self, other):
         changed = False
@@ -928,9 +965,11 @@ class Spec:
         since they may still be mutated.
         """
         if self._hash is None or not self._concrete:
-            digest = hashlib.sha1()
-            self._hash_into(digest, {})
-            h = digest.hexdigest()
+            # one sha1 update over the joined parts: the same bytes as
+            # one update per part, so every stored hash still verifies
+            parts = []
+            self._hash_into(parts, {})
+            h = hashlib.sha1("".join(parts).encode()).hexdigest()
             if not self._concrete:
                 return h[:length] if length else h
             self._hash = h
@@ -949,14 +988,14 @@ class Spec:
             return None  # first visit
         return self.name if self.name is not None else "<anon#%d>" % ordinal
 
-    def _hash_into(self, digest, visited):
+    def _hash_into(self, parts, visited):
         if self._visit_key(visited) is not None:
             return
-        digest.update(repr(self.node_repr()).encode())
+        parts.append(repr(self.node_repr()))
         for name in sorted(self.dependencies):
-            types = ",".join(sorted(self.dependencies.deptypes(name)))
-            digest.update(("^%s[%s]" % (name, types)).encode())
-            self.dependencies[name]._hash_into(digest, visited)
+            types = _EDGE_TEXT[self.dependencies.deptypes(name)]
+            parts.append("^%s[%s]" % (name, types))
+            self.dependencies[name]._hash_into(parts, visited)
 
     def runtime_hash(self, length=None):
         """Content hash of only the link/run sub-DAG (the splice key).
@@ -970,24 +1009,24 @@ class Spec:
         Invalidated alongside ``dag_hash`` by the ancestor back-refs.
         """
         if self._rhash is None or not self._concrete:
-            digest = hashlib.sha1()
-            self._runtime_hash_into(digest, {})
-            h = digest.hexdigest()
+            parts = []
+            self._runtime_hash_into(parts, {})
+            h = hashlib.sha1("".join(parts).encode()).hexdigest()
             if not self._concrete:
                 return h[:length] if length else h
             self._rhash = h
         return self._rhash[:length] if length else self._rhash
 
-    def _runtime_hash_into(self, digest, visited):
+    def _runtime_hash_into(self, parts, visited):
         if self._visit_key(visited) is not None:
             return
-        digest.update(repr(self.node_repr()).encode())
+        parts.append(repr(self.node_repr()))
         for name in sorted(self.dependencies):
             runtime = self.dependencies.deptypes(name) & RUNTIME_DEPTYPES
             if not runtime:
                 continue  # build-only edges are invisible at run time
-            digest.update(("^%s[%s]" % (name, ",".join(sorted(runtime)))).encode())
-            self.dependencies[name]._runtime_hash_into(digest, visited)
+            parts.append("^%s[%s]" % (name, _EDGE_TEXT[runtime]))
+            self.dependencies[name]._runtime_hash_into(parts, visited)
 
     # -- equality --------------------------------------------------------------
     def eq_node(self, other):
@@ -1144,36 +1183,62 @@ class Spec:
 
         Fields and edges are written directly, not through the
         invalidating setters: a node under construction has nothing
-        cached.  A concrete payload (a database record, a lockfile root,
-        a persistent-cache entry) comes back frozen, ready to be shared;
-        an abstract one comes back mutable, with the parent
-        back-references invalidation walks.
+        cached, and its node repr is set from the fields as they are
+        written.  Each distinct compiler text is parsed once (a bounded
+        pool shared by the process) and each edge-type list is looked up
+        in a table of the valid sets.  A concrete payload (a database
+        record, a lockfile root, a persistent-cache entry) comes back
+        frozen, as :meth:`freeze` leaves a DAG, ready to be shared; its
+        nodes share one CompilerSpec per distinct compiler, which like
+        every field of a frozen node is never changed in place.  An
+        abstract payload comes back mutable, each node owning its
+        fields, with the parent back-references invalidation walks.
         """
         built = {}
         node_data = {nd["name"]: nd for nd in data["nodes"]}
         frozen = bool(node_data[data["root"]].get("concrete"))
+        compilers = {}  # text -> (canonical text, the frozen nodes' CompilerSpec)
 
         def build(name):
             node = built.get(name)
             if node is not None:
                 return node
             nd = node_data[name]
-            node = built[name] = cls()
+            node = built[name] = cls.__new__(cls)
+            versions = VersionList(nd["versions"])
+            node._init_empty(versions)
+            node._frozen = frozen
             node._p_name = nd["name"]
-            node._p_versions = VersionList(nd["versions"])
+            compiler_text = ""
             if nd["compiler"]:
-                node._p_compiler = CompilerSpec(nd["compiler"])
-            dict.update(node._p_variants, nd["variants"])
+                entry = compilers.get(nd["compiler"])
+                if entry is None:
+                    entry = compilers[nd["compiler"]] = _stored_compiler(
+                        nd["compiler"])
+                compiler_text, cspec = entry
+                node._p_compiler = cspec if frozen else cspec.copy()
+            variants = nd["variants"]
+            dict.update(node._p_variants, variants)
             node._p_architecture = nd["architecture"]
             node._p_external = nd["external"]
-            node.provided_virtuals = set(nd["provided_virtuals"])
+            node._nrepr = (
+                node._p_name or "", str(versions), compiler_text,
+                tuple(sorted(variants.items())), node._p_architecture or "",
+                node._p_external or "",
+            )
+            virtuals = nd["provided_virtuals"]
+            if not frozen:
+                node.provided_virtuals = set(virtuals)
+            else:
+                node.provided_virtuals = (
+                    frozenset(virtuals) if virtuals else _NO_VIRTUALS)
             deps = nd["dependencies"]
             typed = isinstance(deps, dict)  # legacy list form: build+link
             for dep_name in sorted(deps) if typed else deps:
                 child = build(dep_name)
                 dict.__setitem__(node.dependencies, dep_name, child)
-                node.dependencies._edge_types[dep_name] = canonical_deptype(
-                    deps[dep_name] if typed else DEFAULT_DEPTYPES
+                node.dependencies._edge_types[dep_name] = (
+                    _stored_deptypes(deps[dep_name]) if typed else _DEFAULT_EDGE
                 )
                 if not frozen:
                     child._register_parent(node)
@@ -1181,7 +1246,9 @@ class Spec:
             return node
 
         root = build(data["root"])
-        return root.freeze() if frozen else root
+        if frozen:
+            root.dag_hash()  # cached, as freeze() does
+        return root
 
     # -- misc ---------------------------------------------------------------------
     def tree(self, indent=2):
@@ -1190,3 +1257,28 @@ class Spec:
         for d, node in self.traverse(depth=True):
             lines.append("%s%s" % (" " * (indent * d), node.node_str()))
         return "\n".join(lines)
+
+
+def _stored_compiler(text):
+    """(canonical text, a new CompilerSpec) for a stored compiler text,
+    parsed once per distinct text (:data:`_STORED_COMPILERS`)."""
+    parsed = _STORED_COMPILERS.get(text)
+    if parsed is None:
+        cspec = CompilerSpec(text)
+        parsed = _STORED_COMPILERS.put(
+            text, (cspec.name, tuple(cspec.versions), str(cspec))
+        )
+    name, constraints, canonical = parsed
+    cspec = CompilerSpec.__new__(CompilerSpec)
+    cspec.name = name
+    cspec.versions = VersionList()
+    cspec.versions.constraints = list(constraints)
+    return canonical, cspec
+
+
+def _stored_deptypes(types):
+    """The canonical frozenset for a stored edge-type list: a table
+    lookup for the sorted lists ``to_dict`` writes, a validating parse
+    for anything else."""
+    canonical = _EDGE_TYPES.get(tuple(types)) if isinstance(types, list) else None
+    return canonical if canonical is not None else canonical_deptype(types)

@@ -28,6 +28,7 @@ import os
 import shutil
 import threading
 import time
+import weakref
 
 from repro.build.context import BuildContext, build_context
 from repro.build.environment import build_environment, dependency_prefixes
@@ -45,6 +46,27 @@ from repro.util.lock import Lock
 #: ("AST constructor recursion depth mismatch").  Provenance writes
 #: from parallel workers serialize their source lookups here.
 _GETSOURCE_LOCK = threading.Lock()
+
+#: package class -> its source text, or None when it has none (a class
+#: made at run time): ``getsource`` parses the whole defining module,
+#: and fails only after that for a generated class, so each class is
+#: read once
+_SOURCES = weakref.WeakKeyDictionary()
+
+
+def _package_source(cls):
+    """The source text of a package class, or None; read once per class."""
+    with _GETSOURCE_LOCK:
+        try:
+            return _SOURCES[cls]
+        except KeyError:
+            pass
+        try:
+            source = inspect.getsource(cls)
+        except (OSError, TypeError, SystemError):
+            source = None
+        _SOURCES[cls] = source
+        return source
 
 
 class BuildStats:
@@ -550,10 +572,8 @@ class BuildExecutor:
         mkdirp(meta)
         with open(os.path.join(meta, "spec.json"), "w") as f:
             json.dump(node.to_dict(), f, indent=1, sort_keys=True)
-        try:
-            with _GETSOURCE_LOCK:
-                source = inspect.getsource(type(pkg))
-        except (OSError, TypeError, SystemError):
+        source = _package_source(type(pkg))
+        if source is None:
             source = "# source unavailable for %s\n" % type(pkg).__name__
         with open(os.path.join(meta, "package.py"), "w") as f:
             f.write(source)

@@ -45,10 +45,9 @@ A campaign has six phases, all driven entirely by one master seed:
    campaign.
 6. **Environment-unification sweep** — over a *name-prefixed*,
    hub-biased universe (shared sub-DAGs by construction), draw seeded
-   root sets and unify each one serially and with a 2-wide solve pool.
-   A coherent result (one node per shared package, one provider per
-   virtual, pool-width-independent ``dag_hash`` set) or a typed
-   conflict/root diagnostic passes; anything else is a divergence.
+   root sets and unify each one.  A coherent result (one node per
+   shared package, one provider per virtual) or a typed conflict/root
+   diagnostic passes; anything else is a divergence.
 
 The report is JSONL with sorted keys and no timestamps, hostnames, or
 absolute paths, so two same-seed runs produce *byte-identical* files —
@@ -208,9 +207,8 @@ class CampaignReport:
     def env_divergences(self):
         """Environment cases where unification is wrong: a shared
         package resolved to more than one node, a shared virtual to more
-        than one provider, the unified result depended on the solve pool
-        width, or the engine failed with something other than a typed
-        per-root/conflict diagnostic."""
+        than one provider, or the engine failed with something other
+        than a typed per-root/conflict diagnostic."""
         return [c for c in self.env_cases if c["kind"] == "divergence"]
 
     @property
@@ -921,12 +919,11 @@ def run_env_phase(config, report, workdir, log=None):
     """Unify seeded root sets over the prefixed hub-biased universe.
 
     Each case draws 2–8 generated abstract requests as an environment's
-    roots and unifies them twice — serial and with a 2-wide solve pool.
-    A case is a divergence when the unified result is incoherent (a
-    shared package with two nodes, a virtual with two providers), when
-    the two pool widths disagree on the unified ``dag_hash`` set, or
-    when unification dies with anything other than a typed per-root
-    error or a :class:`~repro.env.unify.EnvironmentConflictError`
+    roots and unifies them.  A case is a divergence when the unified
+    result is incoherent (a shared package with two nodes, a virtual
+    with two providers), or when unification dies with anything other
+    than a typed per-root error or a
+    :class:`~repro.env.unify.EnvironmentConflictError`
     (both are legitimate outcomes for random root sets and recorded as
     such).
     """
@@ -968,7 +965,7 @@ def run_env_phase(config, report, workdir, log=None):
             roots.append(request)
         case = {"case": i, "roots": roots, "error": None}
         try:
-            unified = unify_roots(roots, concretize, jobs=1)
+            unified = unify_roots(roots, concretize)
         except EnvironmentConflictError as e:
             case.update(kind="conflict", error=e.message,
                         demands=sorted({r for r, _ in e.demands}))
@@ -980,9 +977,6 @@ def run_env_phase(config, report, workdir, log=None):
             continue
 
         issues = _env_coherence(unified)
-        pooled = unify_roots(roots, concretize, jobs=2)
-        if pooled.dag_hashes() != unified.dag_hashes():
-            issues.append("jobs=2 produced a different unified node set")
         case.update(
             kind="divergence" if issues else "unified",
             issues=issues,

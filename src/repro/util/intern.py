@@ -77,7 +77,10 @@ class InternPool:
         # cell so the hot path never takes (or races on) the lock
         value = self._table.get(key)
         if value is not None:
-            self._cell().hits += 1
+            try:
+                self._local.cell.hits += 1
+            except AttributeError:  # this thread's first count
+                self._cell().hits += 1
         return value
 
     def put(self, key, value):

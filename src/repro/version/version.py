@@ -377,7 +377,8 @@ class VersionList:
         """Compatibility (overlap) or, with ``strict``, containment in other."""
         other = _as_list(other)
         if strict:
-            return self.intersection(other) == self
+            # every list is contained in the universal one
+            return other.universal or self.intersection(other) == self
         return self.overlaps(other)
 
     def intersection(self, other):
@@ -400,6 +401,9 @@ class VersionList:
 
     def intersect(self, other):
         """Intersect in place; return True if this list changed."""
+        other = _as_list(other)
+        if other.universal:
+            return False  # a bare constraint (``depends_on('x')``) narrows nothing
         new = self.intersection(other)
         changed = new != self
         self.constraints = new.constraints
@@ -426,12 +430,11 @@ class VersionList:
     @property
     def universal(self):
         """True if this is the unconstrained list ``:``."""
-        return (
-            len(self.constraints) == 1
-            and isinstance(self.constraints[0], VersionRange)
-            and self.constraints[0].lo is None
-            and self.constraints[0].hi is None
-        )
+        constraints = self.constraints
+        if len(constraints) != 1:
+            return False
+        only = constraints[0]
+        return type(only) is VersionRange and only.lo is None and only.hi is None
 
     # -- dunder ------------------------------------------------------------
     def __eq__(self, other):

@@ -97,6 +97,41 @@ class TestLockfile:
         warm = env.concretize(session)
         assert warm.pins == cold.pins
 
+    def test_lock_is_compact_and_written_by_one_rename(self, session, env,
+                                                       monkeypatch):
+        from repro.env import environment
+
+        written = []
+        real_write = environment.atomic_write
+
+        def recording(path, data):
+            written.append(path)
+            return real_write(path, data)
+
+        monkeypatch.setattr(environment, "atomic_write", recording)
+        env.add("mpileaks")
+        env.concretize(session)
+        assert written == [env._lock_path()]
+        with open(env._lock_path()) as f:
+            text = f.read()
+        assert text.count("\n") == 1 and text.endswith("}\n")
+        assert [n for n in os.listdir(env.path) if n.endswith(".tmp")] == []
+
+    def test_indented_lock_of_older_versions_restores_warm(self, session, env):
+        env.add("mpileaks")
+        env.add("libdwarf ^libelf@:0.8.12")
+        cold = env.concretize(session)
+        with open(env._lock_path()) as f:
+            lock = json.load(f)
+        # the form older versions wrote: indent=1, sorted keys, newline
+        with open(env._lock_path(), "w") as f:
+            f.write(json.dumps(lock, indent=1, sort_keys=True) + "\n")
+        assert env.lock_state(session) == "fresh"
+        warm = env.concretize(session)
+        assert warm.resolves == 0
+        assert warm.dag_hashes() == cold.dag_hashes()
+        assert warm.pins == cold.pins
+
     def test_conflicting_roots_error_and_leave_no_lock(self, session, env):
         env.add("libdwarf ^libelf@0.8.11")
         env.add("dyninst ^libelf@0.8.12")

@@ -1,5 +1,7 @@
 """The merge/unify engine: coherence, reconciliation, and conflicts."""
 
+import threading
+
 import pytest
 
 from repro.env.unify import (
@@ -8,7 +10,6 @@ from repro.env.unify import (
     unify_roots,
 )
 from repro.spec.errors import UnsatisfiableVersionSpecError
-from repro.telemetry import Telemetry
 from repro.telemetry.sinks import MemorySink
 
 
@@ -49,7 +50,7 @@ class TestCoherence:
             "mpileaks", "dyninst", "libdwarf", "libelf",
             "callpath", "hdf5", "silo", "py-numpy",
         ]
-        unified = unify_roots(roots, _concretize_fn(session), jobs=4)
+        unified = unify_roots(roots, _concretize_fn(session))
         assert len(unified.roots) == 8
         by_name = _nodes_by_name(unified)
         assert all(len(h) == 1 for h in by_name.values())
@@ -116,32 +117,60 @@ class TestReconciliation:
         assert embedded[0].dag_hash() == libelf_root.dag_hash()
         assert str(libelf_root.version) == "0.8.12"
 
-    def test_jobs_width_does_not_change_the_result(self, session):
-        """-j1 and -jN must produce byte-identical unified DAG sets:
-        per-root solves are pure, merge order is deterministic."""
-        roots = ["mpileaks", "dyninst", "libdwarf ^libelf@:0.8.12",
-                 "callpath", "hdf5"]
-        serial = unify_roots(roots, _concretize_fn(session), jobs=1)
-        pooled = unify_roots(roots, _concretize_fn(session), jobs=4)
-        assert serial.dag_hashes() == pooled.dag_hashes()
-        assert serial.pins == pooled.pins
-        assert [
-            (t, c.dag_hash()) for t, c in serial.roots
-        ] == [(t, c.dag_hash()) for t, c in pooled.roots]
+    def test_solves_stay_in_the_callers_trace(self, session):
+        sink = session.telemetry.add_sink(MemorySink())
+        with session.telemetry.span("env.test"):
+            unify_roots(["mpileaks", "libdwarf"], _concretize_fn(session))
+        spans = sink.spans()
+        assert any(r["name"] == "concretize" for r in spans)
+        assert len({r["trace"] for r in spans}) == 1  # no orphans
 
-    def test_pooled_solves_adopt_the_callers_trace(self, session):
-        hub = Telemetry()
-        sink = MemorySink()
-        hub.add_sink(sink)
-        with hub.span("env.test"):
-            unify_roots(
-                ["mpileaks", "libdwarf"],
-                _concretize_fn(session),
-                jobs=2,
-                telemetry=hub,
-            )
-        trace_ids = {r["trace"] for r in sink.spans()}
-        assert len(trace_ids) == 1  # one coherent trace, no orphans
+
+class TestInOrder:
+    """Roots are solved one at a time on the caller's thread: a solve is
+    pure Python under the GIL, so a pool only adds its own overhead."""
+
+    def _no_thread_starts(self, monkeypatch):
+        started = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            started.append(thread.name)
+            return real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        return started
+
+    def test_roots_solve_in_order_on_the_callers_thread(self, session,
+                                                         monkeypatch):
+        started = self._no_thread_starts(monkeypatch)
+        calls = []
+
+        def concretize(spec):
+            calls.append((str(spec), threading.get_ident()))
+            return session.concretize(spec)
+
+        roots = ["mpileaks", "dyninst", "libdwarf"]
+        unified = unify_roots(roots, concretize)
+        assert [text for text, _ in calls] == roots
+        assert {ident for _, ident in calls} == {threading.get_ident()}
+        assert started == []
+        assert [text for text, _ in unified.roots] == roots
+
+    def test_environment_concretization_starts_no_thread(self, session,
+                                                         monkeypatch):
+        """``jobs`` is still accepted (callers pass it) and changes
+        nothing: the cold solve and the warm lockfile restore start no
+        thread, and both give the same DAGs."""
+        env = session.environment("threads")
+        for root in ("mpileaks", "dyninst ^libelf@0.8.12", "libdwarf"):
+            env.add(root)
+        started = self._no_thread_starts(monkeypatch)
+        cold = session.env_concretize(env, jobs=4, force=True)
+        warm = session.env_concretize(env, jobs=4)
+        assert started == []
+        assert cold.resolves > 0 and warm.resolves == 0
+        assert warm.dag_hashes() == cold.dag_hashes()
 
 
 class TestConflicts:
@@ -173,10 +202,13 @@ class TestConflicts:
         assert "no-such-package" in str(err.value)
 
     def test_conflicting_roots_fail_identically_at_any_width(self, session):
-        roots = ["libdwarf ^libelf@0.8.11", "dyninst ^libelf@0.8.12"]
+        """The same conflict, whatever ``jobs`` the caller passes."""
+        env = session.environment("conflict")
+        for root in ("libdwarf ^libelf@0.8.11", "dyninst ^libelf@0.8.12"):
+            env.add(root)
         for jobs in (1, 3):
             with pytest.raises(EnvironmentConflictError) as err:
-                unify_roots(roots, _concretize_fn(session), jobs=jobs)
+                session.env_concretize(env, jobs=jobs, force=True)
             assert err.value.package == "libelf"
 
 

@@ -135,6 +135,33 @@ class TestFrozenState:
         assert info["versions"]
         assert any(d["spec"].startswith("mpi") for d in info["dependencies"])
 
+    def test_package_info_is_built_once_per_snapshot(self, tsession,
+                                                     monkeypatch):
+        from repro.service import ServiceDaemon
+
+        built = []
+        real = StateSnapshot._package_info
+
+        def counting(snapshot, name):
+            built.append(name)
+            return real(snapshot, name)
+
+        monkeypatch.setattr(StateSnapshot, "_package_info", counting)
+        with ServiceDaemon(tsession, workers=2) as daemon:
+            first = daemon.call("spack_info", {"package": "mpileaks"})
+            expected = json.dumps(first, sort_keys=True)
+            first["env_digest"] = "mutated"
+            first["versions"] = []
+            del first["name"]
+            second = daemon.call("spack_info", {"package": "mpileaks"})
+            assert json.dumps(second, sort_keys=True) == expected
+            assert second is not first
+        assert built == ["mpileaks"]
+        # the snapshot's own answer never carries the digest
+        snapshot = tsession.snapshots.current()
+        assert "env_digest" not in snapshot.package_info("mpileaks")
+        assert built == ["mpileaks"]
+
 
 class TestSnapshotManager:
     def test_steady_state_shares_one_snapshot(self, tsession):

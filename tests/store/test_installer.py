@@ -92,6 +92,40 @@ class TestProvenance:
         assert "class Mpileaks" in source
         assert "depends_on" in source
 
+    def test_two_builds_of_one_class_read_its_source_once(self, session,
+                                                          monkeypatch):
+        import inspect
+        import weakref
+
+        from repro.store import executor
+
+        monkeypatch.setattr(executor, "_SOURCES", weakref.WeakKeyDictionary())
+        reads = []
+        real_getsource = inspect.getsource
+
+        def counting(obj):
+            reads.append(obj.__name__)
+            return real_getsource(obj)
+
+        monkeypatch.setattr(inspect, "getsource", counting)
+        texts = []
+        for version in ("0.8.12", "0.8.13"):
+            spec, _ = session.install("libelf@%s" % version)
+            meta = os.path.join(session.store.layout.path_for_spec(spec),
+                                METADATA_DIR)
+            with open(os.path.join(meta, "package.py")) as f:
+                texts.append(f.read())
+        assert reads == ["Libelf"]
+        assert texts[0] == texts[1] == real_getsource(type(
+            session.repo.get_class("libelf")(spec)))
+
+    def test_generated_class_source_is_marked_unavailable(self, session):
+        from repro.store.executor import _package_source
+
+        generated = type("Generated", (Package,), {})
+        assert _package_source(generated) is None
+        assert _package_source(generated) is None
+
     def test_build_log_has_phases(self, installed_mpileaks):
         session, spec, _ = installed_mpileaks
         meta = os.path.join(session.store.layout.path_for_spec(spec), METADATA_DIR)
