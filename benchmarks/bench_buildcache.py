@@ -112,7 +112,7 @@ def test_buildcache_cold_vs_warm(tmp_path_factory, benchmark):
     cold_spec, cold_result = cold.install("diamond-root", jobs=JOBS)
     cold_wall = time.perf_counter() - start
     assert len(cold_result.built) == 16
-    assert len(cold.buildcache.read_index()) == 16
+    assert len(cold.buildcache.entries()) == 16
 
     # -- warm: fresh root, everything from the cache (measured) -----------
     hub = Telemetry()

@@ -117,7 +117,7 @@ def test_splice_survives_build_tool_upgrade(tmp_path_factory, benchmark):
     )
     cold_wall = time.perf_counter() - start
     assert len(donor_result.built) == FLEET_NODES + 1
-    assert len(donor.buildcache.read_index()) == FLEET_NODES + 1
+    assert len(donor.buildcache.entries()) == FLEET_NODES + 1
 
     # -- spliced: retool to @2.0 in a fresh root (measured) ---------------
     hub = Telemetry()

@@ -288,25 +288,19 @@ def cmd_mirror(args):
 def cmd_buildcache(args):
     """``buildcache push|pull|list``: the relocatable binary cache."""
     session = _session(args)
-    from repro.store.buildcache import BuildCache
-
-    if args.dir:
-        cache = BuildCache(
-            args.dir, telemetry=session.telemetry, faults=session.faults
-        )
-        session.buildcache = cache
-    elif session.buildcache is not None:
-        cache = session.buildcache
+    if args.dir or session.buildcache is None:
+        cache = session.enable_buildcache(root=args.dir)
     else:
-        cache = session.enable_buildcache()
+        cache = session.buildcache
 
     if args.action == "list":
         entries = cache.entries()
         print("==> build cache at %s: %d entries" % (cache.root, len(entries)))
         for dag_hash, entry in entries:
+            root = entry["spec"]["nodes"][0]
             print(
                 "    %s@%s /%s  sha256:%s"
-                % (entry["name"], entry["version"], dag_hash[:8],
+                % (root["name"], root["versions"], dag_hash[:8],
                    entry["digest"][:12])
             )
         return 0

@@ -129,7 +129,7 @@ class Session:
         self.stage_root = os.path.join(self.root, "stage")
         mkdirp(self.stage_root)
         #: the ``buildcache`` config section: relocatable binary cache
-        #: (root/push/pull/splice/require_digest); None until configured
+        #: (root/push/pull/splice); None until configured
         self.buildcache = None
         self.buildcache_push = False
         self.buildcache_pull = True
@@ -141,7 +141,6 @@ class Session:
                 push=bc_cfg.get("push"),
                 pull=bc_cfg.get("pull"),
                 splice=bc_cfg.get("splice"),
-                require_digest=bc_cfg.get("require_digest"),
             )
         self.installer = Installer(self)
 
@@ -226,8 +225,7 @@ class Session:
                 )
             )
 
-    def enable_buildcache(self, root=None, push=None, pull=None,
-                          splice=None, require_digest=None):
+    def enable_buildcache(self, root=None, push=None, pull=None, splice=None):
         """Attach a :class:`~repro.store.buildcache.BuildCache`.
 
         ``root`` defaults to ``<session-root>/cache/buildcache`` — point
@@ -243,10 +241,7 @@ class Session:
         if root is None:
             root = os.path.join(self.root, "cache", "buildcache")
         self.buildcache = BuildCache(
-            root,
-            telemetry=self.telemetry,
-            faults=self.faults,
-            require_digest=True if require_digest is None else bool(require_digest),
+            root, telemetry=self.telemetry, faults=self.faults
         )
         if push is not None:
             self.buildcache_push = bool(push)

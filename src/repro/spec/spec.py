@@ -277,8 +277,8 @@ class _DependencyMap(dict):
         if owner is not None:
             if isinstance(dep, Spec):
                 dep._register_parent(owner)
-            # the owner's DAG just changed shape; its cached DAG repr,
-            # hash, and memo tables are stale (ancestors' too)
+            # the owner's DAG just changed shape; its cached DAG repr
+            # and hash are stale (ancestors' too)
             owner.invalidate_caches()
 
     def __delitem__(self, name):
@@ -408,7 +408,6 @@ class Spec:
         self._rhash = None
         self._nrepr = None
         self._dkey = None
-        self._smemo = {}
         self._p_name = None
         self._p_versions = any_version() if versions is None else versions
         self._p_compiler = None
@@ -422,8 +421,8 @@ class Spec:
     # -- cached-state parameter properties -----------------------------------
     # Node parameters are properties so that *any* assignment — including
     # direct writes from tests or package code — invalidates the cached
-    # node/DAG reprs, hash, and memo tables on this node and its ancestors,
-    # or raises FrozenSpecError on a frozen node.  Mutation discipline
+    # node/DAG reprs and hash on this node and its ancestors, or raises
+    # FrozenSpecError on a frozen node.  Mutation discipline
     # therefore has a single choke point instead of being scattered across
     # every caller.  Reads are the hot side (the concretizer reads
     # parameters hundreds of thousands of times per run), so they go
@@ -559,16 +558,14 @@ class Spec:
         self._normal = False
         self._nrepr = None
         self._dkey = None
-        if self._smemo:
-            self._smemo = {}
 
     def invalidate_caches(self):
-        """Drop cached hash/reprs/memos here *and on every ancestor*.
+        """Drop cached hash/reprs here *and on every ancestor*.
 
-        A concrete DAG caches ``_hash``, its canonical node/DAG reprs,
-        and ``satisfies``/``intersects`` memo entries per node; mutating
-        a shared child (``constrain``, ``_add_dependency``, any parameter
-        assignment) changes every ancestor's DAG state too, so
+        A concrete DAG caches ``_hash`` and its canonical node/DAG reprs
+        per node; mutating a shared child (``constrain``,
+        ``_add_dependency``, any parameter assignment) changes every
+        ancestor's DAG state too, so
         invalidation walks the parent back-references — otherwise
         ancestors keep serving stale cached state with ``_concrete``
         still True.  A frozen node never changes, so its caches stay and
@@ -799,35 +796,14 @@ class Spec:
                 return False
         return True
 
-    #: per-node memo tables stop growing past this many entries; cleared
-    #: wholesale rather than evicted (they refill in one concretizer pass)
-    _MEMO_LIMIT = 512
-
     def satisfies(self, other, strict=False):
         """See the module docstring for the two semantics.
 
         ``other`` may be a Spec or a spec string.  Dependency constraints
         in ``other`` are matched against *any* node of this DAG with the
         same name (names are unique per DAG).
-
-        Outcomes are memoized per node: the memo is keyed by ``other``'s
-        canonical DAG tuple and cleared by :meth:`invalidate_caches`
-        whenever this spec (or any node below it) mutates, so repeated
-        ``when=`` predicate checks during the concretizer's fixed-point
-        iterations cost one dict lookup.
         """
         other = other if isinstance(other, Spec) else Spec(other)
-        memo = self._smemo
-        key = ("sat", other._dag_key(), strict)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[0]
-        result = self._satisfies_uncached(other, strict)
-        if len(memo) < self._MEMO_LIMIT:
-            memo[key] = (result,)
-        return result
-
-    def _satisfies_uncached(self, other, strict):
         if not self.satisfies_node(other, strict=strict):
             return False
         if not other.dependencies:
@@ -916,25 +892,13 @@ class Spec:
         return changed
 
     def intersects(self, other):
-        """True if a build could satisfy both specs (symmetric overlap).
-
-        Memoized like :meth:`satisfies` — the trial constrain on a copy
-        is one of the concretizer's hottest operations.
-        """
+        """True if a build could satisfy both specs (symmetric overlap)."""
         other = other if isinstance(other, Spec) else Spec(other)
-        memo = self._smemo
-        key = ("int", other._dag_key())
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[0]
         try:
             self.copy().constrain(other)
-            result = True
         except err.UnsatisfiableSpecError:
-            result = False
-        if len(memo) < self._MEMO_LIMIT:
-            memo[key] = (result,)
-        return result
+            return False
+        return True
 
     # -- hashing -------------------------------------------------------------
     def node_repr(self):
@@ -1047,8 +1011,7 @@ class Spec:
 
         Child mutations propagate here through the dependent
         back-references, so a cached value is always current.  This is
-        the comparison/memo key for ``__eq__``/``__hash__`` and the
-        satisfies/intersects memo tables.
+        the comparison key for ``__eq__``/``__hash__``.
         """
         dkey = self._dkey
         if dkey is None:

@@ -8,21 +8,33 @@ rewriting the embedded root — the relocation step binary Spack made
 standard ("Bridging the Gap Between Binary and Source Based Package
 Management in Spack", PAPERS.md).
 
-A cache is a directory, Mirror-style::
+A cache is a directory holding one entry per hash, and nothing else::
 
-    <cache-root>/index.json                      {hash: {name, version, digest}}
-    <cache-root>/<hh>/<name>-<version>-<hash>.tar.gz
-    <cache-root>/<hash>.spec.json                metadata/provenance sidecar
+    <cache-root>/<hh>/<name>-<version>-<hash>.tar.gz   the prefix
+    <cache-root>/<hash>.spec.json                      the entry (sidecar)
+    <cache-root>/runtime/<runtime_hash>/<hash>         empty splice marker
 
 where ``<hh>`` is the first two hash characters (fanout).  The sidecar
-records the full concrete spec, the session root the prefix was built
-under (the relocation source), and the tarball's SHA-256.  Tarballs are
-**deterministic** — members sorted, mtimes/uids zeroed, gzip timestamp
-pinned — so pushing the same prefix twice yields byte-identical
-archives and digests.
+is the entry: it records the full concrete spec, the session root the
+prefix was built under (the relocation source), the tarball's SHA-256
+and the spec's runtime hash.  A push writes the tarball, then the
+sidecar, each whole by one rename, then creates the marker.  It takes no
+lock and writes no file that another entry shares, so concurrent
+pushers cannot lose each other's entries, and a reader who sees a
+sidecar can open its tarball.  An entry exists once its sidecar does: a
+tarball without one is a miss, and a marker without one is skipped.
+``has`` is one stat, ``lookup`` one read, and the splice-donor search
+one listing of a marker directory, whatever the cache's size.  Tarballs
+are **deterministic** — members sorted, mtimes/uids zeroed, gzip
+timestamp pinned — so pushing the same prefix twice yields
+byte-identical archives and digests.
+
+An older cache's index file and its lock file are ignored.  Its
+sidecars still serve exact-hash pulls; recording no runtime hash, such
+an entry becomes a splice donor only once it is pushed again.
 
 Integrity is digest-first: :meth:`BuildCache.fetch_tarball` re-hashes
-the bytes it read and refuses a mismatch (the ``require_digest``
+the bytes it read and refuses a mismatch with the sidecar's digest (the
 stand-in for signature checking), which is also where the
 ``buildcache.corrupt`` fault site lives — the injected corruption must
 be caught by exactly the check that would catch a real bit-flip.
@@ -42,7 +54,6 @@ import tarfile
 
 from repro.errors import ReproError
 from repro.util.filesystem import atomic_write, mkdirp
-from repro.util.lock import Lock
 
 #: stands in for the session root when hashing file content, so digests
 #: survive relocation (the only bytes relocation may change)
@@ -51,13 +62,16 @@ ROOT_PLACEHOLDER = b"@@REPRO_PLACEHOLDER@@"
 #: name of the marker written into an extracted prefix's metadata dir
 BINARY_DISTRIBUTION = "binary_distribution.json"
 
+#: file-name suffix of an entry (sidecar) under the cache root
+SIDECAR_SUFFIX = ".spec.json"
+
 
 class BuildCacheError(ReproError):
     """Cache layout, packing, or extraction problems."""
 
 
 class DigestMismatchError(BuildCacheError):
-    """A cache entry's bytes do not hash to the indexed digest."""
+    """A cache entry's bytes do not hash to its sidecar's digest."""
 
     def __init__(self, name, expected, actual):
         super().__init__(
@@ -81,32 +95,6 @@ def normalized_digest(data, root):
     if root:
         data = data.replace(root, ROOT_PLACEHOLDER)
     return hashlib.sha256(data).hexdigest()
-
-
-def relocate_tree(prefix, old_root, new_root):
-    """Rewrite ``old_root`` to ``new_root`` in every file under ``prefix``.
-
-    Returns the number of files actually rewritten.  Artifacts here are
-    text/JSON (the simulated ELF of :mod:`repro.build.loader`), so a
-    byte-level replace covers RPATH entries, recorded prefixes, and
-    provenance alike — the moral equivalent of binary Spack's
-    padded-path/patchelf rewriting.
-    """
-    if old_root == new_root:
-        return 0
-    old_bytes, new_bytes = old_root.encode(), new_root.encode()
-    rewritten = 0
-    for dirpath, _dirnames, filenames in os.walk(prefix):
-        for filename in filenames:
-            path = os.path.join(dirpath, filename)
-            with open(path, "rb") as f:
-                data = f.read()
-            if old_bytes not in data:
-                continue
-            with open(path, "wb") as f:
-                f.write(data.replace(old_bytes, new_bytes))
-            rewritten += 1
-    return rewritten
 
 
 def relocate_paths(prefix, mapping):
@@ -146,20 +134,15 @@ def relocate_paths(prefix, mapping):
 
 
 class BuildCache:
-    """A directory of relocatable prefix tarballs plus a JSON index."""
+    """A directory of relocatable prefix tarballs, one sidecar entry per
+    hash."""
 
-    def __init__(self, root, telemetry=None, faults=None, require_digest=True):
+    def __init__(self, root, telemetry=None, faults=None):
         self.root = os.path.abspath(root)
         self.telemetry = telemetry
         self.faults = faults
-        #: refuse entries whose bytes do not match the indexed sha256
-        self.require_digest = bool(require_digest)
-        self._index_lock = Lock(os.path.join(self.root, ".index.lock"))
 
     # -- paths -------------------------------------------------------------
-    def _index_path(self):
-        return os.path.join(self.root, "index.json")
-
     def tarball_path(self, node, dag_hash=None):
         dag_hash = dag_hash or node.dag_hash()
         return os.path.join(
@@ -169,41 +152,41 @@ class BuildCache:
         )
 
     def sidecar_path(self, dag_hash):
-        return os.path.join(self.root, dag_hash + ".spec.json")
+        return os.path.join(self.root, dag_hash + SIDECAR_SUFFIX)
 
-    # -- index -------------------------------------------------------------
-    def read_index(self):
-        """{dag_hash: {name, version, digest}} — empty when absent."""
-        try:
-            with open(self._index_path()) as f:
-                return json.load(f)
-        except (OSError, ValueError):
-            return {}
-
-    def _update_index(self, dag_hash, entry):
-        """Read-merge-write the index under the cache's lock, so racing
-        pushers (parallel workers, concurrent sessions) never lose each
-        other's entries."""
-        mkdirp(self.root)
-        with self._index_lock:
-            index = self.read_index()
-            index[dag_hash] = entry
-            atomic_write(
-                self._index_path(),
-                json.dumps(index, sort_keys=True).encode(),
-            )
+    def _marker_dir(self, runtime_hash):
+        return os.path.join(self.root, "runtime", runtime_hash)
 
     # -- queries -----------------------------------------------------------
     def has(self, dag_hash):
-        return dag_hash in self.read_index()
+        """True once the hash's sidecar exists: one stat."""
+        return os.path.isfile(self.sidecar_path(dag_hash))
 
     def lookup(self, dag_hash):
-        """The index entry for a hash, or None."""
-        return self.read_index().get(dag_hash)
+        """The entry for a hash — its sidecar, ``{"spec": dict, "root":
+        str, "digest": str, "runtime_hash": str}`` — or None when it is
+        absent or unreadable."""
+        try:
+            with open(self.sidecar_path(dag_hash), "rb") as f:
+                return json.loads(f.read())
+        except (OSError, ValueError):
+            return None
 
     def entries(self):
-        """(dag_hash, entry) pairs, deterministically ordered."""
-        return sorted(self.read_index().items())
+        """(dag_hash, entry) pairs, sorted: a scan of every sidecar under
+        the root, for ``buildcache list`` and tests."""
+        try:
+            names = sorted(os.listdir(self.root))
+        except OSError:
+            return []
+        pairs = []
+        for name in names:
+            if name.endswith(SIDECAR_SUFFIX):
+                dag_hash = name[: -len(SIDECAR_SUFFIX)]
+                entry = self.lookup(dag_hash)
+                if entry is not None:
+                    pairs.append((dag_hash, entry))
+        return pairs
 
     def find_splice_donor(self, node):
         """A cached entry whose binaries are reusable for ``node``.
@@ -212,43 +195,38 @@ class BuildCache:
         :meth:`Spec.runtime_hash`) is identical to the requested node's
         but its full ``dag_hash`` differs — i.e. the cached prefix was
         built against the same ABI surface with different build-only
-        tooling.  Returns ``(donor_hash, entry)`` or ``None``; ties are
-        broken by sorted hash so concurrent planners pick the same donor.
+        tooling.  The candidates are the markers under
+        ``runtime/<runtime_hash>/``, one listing; a marker whose sidecar
+        is missing is skipped.  Returns ``(donor_hash, entry)`` or
+        ``None``; ties are broken by sorted hash so concurrent planners
+        pick the same donor.
         """
-        runtime_hash = node.runtime_hash()
-        for donor_hash, entry in self.entries():
-            if donor_hash == node.dag_hash():
+        dag_hash = node.dag_hash()
+        try:
+            candidates = os.listdir(self._marker_dir(node.runtime_hash()))
+        except OSError:
+            return None
+        candidates.sort()
+        for donor_hash in candidates:
+            if donor_hash == dag_hash:
                 continue
-            if entry.get("name") != node.name:
-                continue
-            if entry.get("runtime_hash") == runtime_hash:
+            entry = self.lookup(donor_hash)
+            if entry is not None:
                 return donor_hash, entry
         return None
-
-    def load_sidecar(self, dag_hash):
-        """The metadata sidecar: {"spec": dict, "root": str, "digest": str}."""
-        try:
-            with open(self.sidecar_path(dag_hash)) as f:
-                return json.load(f)
-        except OSError:
-            raise BuildCacheError(
-                "Build cache has no sidecar for %s" % dag_hash
-            ) from None
-        except ValueError as e:
-            raise BuildCacheError(
-                "Corrupt build cache sidecar for %s" % dag_hash,
-                long_message=str(e),
-            ) from e
 
     # -- push --------------------------------------------------------------
     def push(self, node, prefix, root):
         """Pack ``prefix`` (built under session ``root``) into the cache.
 
-        Returns the tarball's sha256.  The archive is deterministic, the
-        writes atomic, and the index entry last — a reader who sees the
-        hash in the index can always open the tarball and sidecar.
+        Returns the tarball's sha256.  The archive is deterministic; the
+        tarball and then the sidecar are each written whole by one
+        rename, and the runtime marker is created last, so a reader who
+        sees a sidecar can open its tarball and one who sees a marker
+        can read its sidecar.
         """
         dag_hash = node.dag_hash()
+        runtime_hash = node.runtime_hash()
         data = self._pack(prefix)
         digest = hashlib.sha256(data).hexdigest()
 
@@ -259,20 +237,16 @@ class BuildCache:
             "spec": node.to_dict(),
             "root": root,
             "digest": digest,
+            "runtime_hash": runtime_hash,
         }
         atomic_write(
             self.sidecar_path(dag_hash),
             json.dumps(sidecar, sort_keys=True).encode(),
         )
-        self._update_index(
-            dag_hash,
-            {
-                "name": node.name,
-                "version": str(node.version),
-                "digest": digest,
-                "runtime_hash": node.runtime_hash(),
-            },
-        )
+        marker_dir = self._marker_dir(runtime_hash)
+        mkdirp(marker_dir)
+        with open(os.path.join(marker_dir, dag_hash), "ab"):
+            pass
         if self.telemetry is not None:
             self.telemetry.count("buildcache.push")
             self.telemetry.event(
@@ -319,10 +293,11 @@ class BuildCache:
 
     # -- pull --------------------------------------------------------------
     def fetch_tarball(self, node, dag_hash=None, splice=False):
-        """Verified tarball bytes for a cached node.
+        """Verified tarball bytes for a cached node, and its entry.
 
-        Re-hashes what was read and (with ``require_digest``) raises
-        :class:`DigestMismatchError` on mismatch — the single choke
+        Returns ``(data, entry)``: the bytes, re-hashed and checked
+        against the digest of the sidecar they are returned with.  A
+        mismatch raises :class:`DigestMismatchError` — the single choke
         point both real corruption and the ``buildcache.corrupt`` /
         ``buildcache.splice_stale`` faults must pass through.  Pass
         ``splice=True`` when fetching a *donor* tarball for splicing so
@@ -343,7 +318,7 @@ class BuildCache:
             ) from e
 
         if self.faults is not None:
-            # fault site: bytes corrupted between index read and digest
+            # fault site: bytes corrupted between sidecar read and digest
             # check, as an on-disk bit-flip or truncated upload would be
             if self.faults.hit("buildcache.corrupt", target=node.name):
                 data = b"\x00CORRUPT\x00" + data[16:]
@@ -356,13 +331,12 @@ class BuildCache:
             ):
                 data = b"\x00STALE-SPLICE\x00" + data[16:]
 
-        if self.require_digest:
-            actual = hashlib.sha256(data).hexdigest()
-            if actual != entry.get("digest"):
-                if self.telemetry is not None:
-                    self.telemetry.count("buildcache.digest_mismatch")
-                raise DigestMismatchError(node.name, entry.get("digest"), actual)
-        return data
+        actual = hashlib.sha256(data).hexdigest()
+        if actual != entry.get("digest"):
+            if self.telemetry is not None:
+                self.telemetry.count("buildcache.digest_mismatch")
+            raise DigestMismatchError(node.name, entry.get("digest"), actual)
+        return data, entry
 
     @staticmethod
     def extract(data, prefix):
@@ -393,4 +367,4 @@ class BuildCache:
         return written
 
     def __repr__(self):
-        return "BuildCache(%r, %d entries)" % (self.root, len(self.read_index()))
+        return "BuildCache(%r)" % self.root

@@ -199,7 +199,7 @@ class BuildExecutor:
         tears down the partial prefix and falls back to a source build:
         the cache is an accelerator, never a correctness risk.
         """
-        from repro.store.buildcache import BuildCacheError, relocate_tree
+        from repro.store.buildcache import BuildCacheError, relocate_paths
         from repro.store.database import InstallRecord
         from repro.store.verify import verify_install
 
@@ -220,13 +220,12 @@ class BuildExecutor:
                 worker=threading.current_thread().name,
             ) as span:
                 with timer.phase("extract"):
-                    data = cache.fetch_tarball(node, dag_hash)
-                    sidecar = cache.load_sidecar(dag_hash)
+                    data, sidecar = cache.fetch_tarball(node, dag_hash)
                     prefix = layout.create_install_directory(node)
                     files = cache.extract(data, prefix)
                 with timer.phase("relocate"):
                     old_root = sidecar.get("root") or ""
-                    rewritten = relocate_tree(prefix, old_root, session.root)
+                    rewritten = relocate_paths(prefix, {old_root: session.root})
                     hub.count("buildcache.relocations")
                     hub.count("buildcache.relocated_files", rewritten)
                 with timer.phase("verify"):
@@ -283,11 +282,7 @@ class BuildExecutor:
         back to a source build: splicing is an accelerator, never a
         correctness risk.
         """
-        from repro.store.buildcache import (
-            BuildCacheError,
-            relocate_paths,
-            relocate_tree,
-        )
+        from repro.store.buildcache import BuildCacheError, relocate_paths
         from repro.store.database import InstallRecord
         from repro.store.verify import verify_install
 
@@ -307,13 +302,14 @@ class BuildExecutor:
                 worker=threading.current_thread().name,
             ) as span:
                 with timer.phase("extract"):
-                    data = cache.fetch_tarball(node, donor_hash, splice=True)
-                    sidecar = cache.load_sidecar(donor_hash)
+                    data, sidecar = cache.fetch_tarball(
+                        node, donor_hash, splice=True
+                    )
                     prefix = layout.create_install_directory(node)
                     files = cache.extract(data, prefix)
                 with timer.phase("relocate"):
                     old_root = sidecar.get("root") or ""
-                    rewritten = relocate_tree(prefix, old_root, session.root)
+                    rewritten = relocate_paths(prefix, {old_root: session.root})
                     hub.count("buildcache.relocations")
                     hub.count("buildcache.relocated_files", rewritten)
                 with timer.phase("splice"):

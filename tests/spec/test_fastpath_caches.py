@@ -1,11 +1,11 @@
-"""The spec fast path: cached reprs, satisfies/intersects memos, and
-their invalidation under *direct attribute mutation*.
+"""The spec fast path: cached reprs and hashes, and their invalidation
+under *direct attribute mutation*.
 
 Every node parameter (``name``, ``versions``, ``compiler``,
 ``architecture``, ``external``) is an invalidating property and the
 variant map notifies its owner, so code that pokes a spec directly —
 tests do, and the concretizer's ``_apply_external`` does — can never be
-served a stale cached identity or memoized satisfies verdict.
+served a stale cached identity or satisfies verdict.
 """
 
 from repro.spec.spec import Spec
@@ -82,19 +82,20 @@ class TestDirectMutationInvalidates:
 
 
 class TestSatisfiesMemo:
+    """Verdicts stay right under repeated queries and mutation.  No
+    verdict is memoized any more, so these pin the answers a memo would
+    have to keep."""
+
     def test_memo_survives_repeated_queries(self):
         a = Spec("mpileaks@2.3+debug")
         b = Spec("mpileaks@2:")
         assert a.satisfies(b)
-        assert ("sat", b._dag_key(), False) in a._smemo
         assert a.satisfies(b)
 
     def test_mutating_self_clears_the_memo(self):
         a = Spec("mpileaks@2.3")
         assert a.satisfies("mpileaks@2:")
-        assert a._smemo
         a.versions = ver("1.0")
-        assert not a._smemo
         assert not a.satisfies("mpileaks@2:")
 
     def test_mutating_other_changes_the_key(self):
@@ -108,14 +109,12 @@ class TestSatisfiesMemo:
     def test_mutating_a_dependency_clears_ancestor_memos(self):
         full = Spec("mpileaks ^callpath@1.0")
         assert full.satisfies("mpileaks ^callpath@1:")
-        assert full._smemo
         full["callpath"].versions = ver("0.5")
-        assert not full._smemo
         assert not full.satisfies("mpileaks ^callpath@1:")
 
     def test_intersects_memo_agrees_with_constrain(self):
         a = Spec("mpileaks@2:")
         assert a.intersects("mpileaks@:3")
-        assert a.intersects("mpileaks@:3")  # memoized second call
+        assert a.intersects("mpileaks@:3")
         assert not Spec("mpileaks@:1").intersects("mpileaks@2:")
         assert not Spec("mpileaks@:1").intersects("mpileaks@2:")

@@ -1,8 +1,13 @@
 """The relocatable binary build cache: format, integrity, round trips."""
 
+import builtins
+import collections
+import contextlib
+import hashlib
 import json
 import os
 import shutil
+import sys
 import threading
 
 import pytest
@@ -11,9 +16,10 @@ from repro.session import Session
 from repro.spec.spec import Spec
 from repro.store.buildcache import (
     BuildCache,
+    BuildCacheError,
     DigestMismatchError,
     normalized_digest,
-    relocate_tree,
+    relocate_paths,
 )
 from repro.telemetry import MemorySink, Telemetry
 
@@ -38,19 +44,84 @@ def _fresh_puller(tmp_path, cache_root, name="cold", **kwargs):
     return session
 
 
+def _synthetic(name, tool=None):
+    """A concrete ``name`` made from its dict, with a build-only ``tool``
+    dependency at version ``tool`` when one is given: two such specs
+    differing only in ``tool`` are runtime twins."""
+
+    def node(node_name, version, dependencies):
+        return {
+            "name": node_name, "versions": version, "compiler": "gcc@4.9.2",
+            "variants": {}, "architecture": "linux-x86_64", "external": None,
+            "provided_virtuals": [], "dependencies": dependencies,
+            "concrete": True,
+        }
+
+    if tool is None:
+        nodes = [node(name, "1.0", {})]
+    else:
+        nodes = [node(name, "1.0", {"tool": ["build"]}),
+                 node("tool", tool, {})]
+    return Spec.from_dict({"root": name, "nodes": nodes})
+
+
+@pytest.fixture
+def tiny_prefix(tmp_path):
+    """A one-file prefix to push synthetic specs from."""
+    prefix = tmp_path / "prefix"
+    (prefix / "bin").mkdir(parents=True)
+    (prefix / "bin" / "tool").write_text('{"rpaths": ["/build/root/opt"]}')
+    return str(prefix)
+
+
+@contextlib.contextmanager
+def _file_access():
+    """Count ``open``, ``os.stat`` and ``os.listdir`` calls, and the bytes
+    of the files opened, while the block runs."""
+    calls = collections.Counter()
+    real_open, real_stat, real_listdir = builtins.open, os.stat, os.listdir
+
+    def counted_open(path, *args, **kwargs):
+        calls["open"] += 1
+        try:
+            calls["bytes"] += real_stat(path).st_size
+        except OSError:
+            pass
+        return real_open(path, *args, **kwargs)
+
+    def counted_stat(path, *args, **kwargs):
+        calls["stat"] += 1
+        return real_stat(path, *args, **kwargs)
+
+    def counted_listdir(*args, **kwargs):
+        calls["listdir"] += 1
+        return real_listdir(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(builtins, "open", counted_open)
+        mp.setattr(os, "stat", counted_stat)
+        mp.setattr(os, "listdir", counted_listdir)
+        yield calls
+
+
 class TestCacheFormat:
-    def test_push_writes_tarball_sidecar_and_index(self, pushing_session):
+    def test_push_writes_tarball_sidecar_and_marker(self, pushing_session):
         spec, _ = pushing_session.install("libelf", jobs=1)
         cache = pushing_session.buildcache
         dag_hash = spec.dag_hash()
 
         entry = cache.lookup(dag_hash)
-        assert entry["name"] == "libelf"
-        assert os.path.isfile(cache.tarball_path(spec, dag_hash))
-        sidecar = cache.load_sidecar(dag_hash)
-        assert sidecar["root"] == pushing_session.root
-        assert sidecar["digest"] == entry["digest"]
-        assert Spec.from_dict(sidecar["spec"]).dag_hash() == dag_hash
+        assert entry["root"] == pushing_session.root
+        assert entry["runtime_hash"] == spec.runtime_hash()
+        assert Spec.from_dict(entry["spec"]).dag_hash() == dag_hash
+        with open(cache.tarball_path(spec, dag_hash), "rb") as f:
+            assert hashlib.sha256(f.read()).hexdigest() == entry["digest"]
+        marker = os.path.join(cache.root, "runtime", spec.runtime_hash(),
+                              dag_hash)
+        assert os.path.getsize(marker) == 0
+        assert sorted(os.listdir(cache.root)) == sorted(
+            [dag_hash[:2], dag_hash + ".spec.json", "runtime"]
+        )
 
     def test_pack_is_deterministic(self, pushing_session):
         spec, _ = pushing_session.install("libelf", jobs=1)
@@ -110,14 +181,15 @@ class TestCacheFormat:
         )
         assert normalized_digest(a, "/root/a") != normalized_digest(b, "/root/a")
 
-    def test_relocate_tree_rewrites_only_matching_files(self, tmp_path):
+    def test_relocate_paths_rewrites_only_matching_files(self, tmp_path):
         prefix = tmp_path / "prefix"
         prefix.mkdir()
         (prefix / "with_root.json").write_text('{"p": "/old/root/opt/x"}')
         (prefix / "without.json").write_text('{"p": "nothing"}')
-        count = relocate_tree(str(prefix), "/old/root", "/new/home")
+        count = relocate_paths(str(prefix), {"/old/root": "/new/home"})
         assert count == 1
         assert "/new/home/opt/x" in (prefix / "with_root.json").read_text()
+        assert relocate_paths(str(prefix), {"/new/home": "/new/home"}) == 0
 
     def test_extract_rejects_escaping_members(self, tmp_path):
         import io
@@ -128,8 +200,6 @@ class TestCacheFormat:
             info = tarfile.TarInfo("../escape")
             info.size = 4
             tar.addfile(info, io.BytesIO(b"evil"))
-        from repro.store.buildcache import BuildCacheError
-
         with pytest.raises(BuildCacheError, match="unsafe tar member"):
             BuildCache.extract(raw.getvalue(), str(tmp_path / "out"))
 
@@ -168,15 +238,177 @@ class TestIntegrity:
 
         assert verify_store(puller) == []
 
-    def test_require_digest_off_accepts_any_bytes(self, tmp_path,
-                                                  pushing_session,
-                                                  cache_root):
+
+class TestEntryLayout:
+    """The sidecar is the entry: one file per hash, no index, no lock."""
+
+    @staticmethod
+    def _probe_access(root, prefix, fillers):
+        """File access of ``has``, ``lookup`` and ``find_splice_donor``
+        on a cache holding ``fillers`` unrelated entries plus one donor."""
+        cache = BuildCache(root)
+        for i in range(fillers):
+            cache.push(_synthetic("filler-%d" % i), prefix, "/build/root")
+        donor = _synthetic("probe", tool="1.0")
+        cache.push(donor, prefix, "/build/root")
+        target = _synthetic("probe", tool="2.0")
+        assert target.runtime_hash() == donor.runtime_hash()
+
+        access = {}
+        with _file_access() as calls:
+            assert cache.has(donor.dag_hash())
+        access["has"] = dict(calls)
+        with _file_access() as calls:
+            assert cache.lookup(donor.dag_hash())["digest"]
+        access["lookup"] = dict(calls)
+        with _file_access() as calls:
+            found = cache.find_splice_donor(target)
+        access["find_splice_donor"] = dict(calls)
+        assert found[0] == donor.dag_hash()
+        return access
+
+    def test_queries_cost_the_same_at_10_and_1000_entries(self, tmp_path,
+                                                          tiny_prefix):
+        small = self._probe_access(str(tmp_path / "small"), tiny_prefix, 10)
+        large = self._probe_access(str(tmp_path / "large"), tiny_prefix, 1000)
+        assert small == large
+        assert large["has"] == {"stat": 1}
+        assert large["lookup"]["open"] == 1
+        assert large["find_splice_donor"]["listdir"] == 1
+        assert large["find_splice_donor"]["open"] == 1
+
+    def test_tarball_without_sidecar_is_a_miss(self, tmp_path,
+                                               pushing_session, cache_root):
         spec, _ = pushing_session.install("libelf", jobs=1)
-        lax = BuildCache(cache_root, require_digest=False)
-        with open(lax.tarball_path(spec), "r+b") as f:
-            f.write(b"\x00\xff\x00\xff")
-        data = lax.fetch_tarball(spec)  # no digest enforcement
-        assert data.startswith(b"\x00\xff\x00\xff")
+        cache = pushing_session.buildcache
+        dag_hash = spec.dag_hash()
+        os.remove(cache.sidecar_path(dag_hash))
+        assert os.path.isfile(cache.tarball_path(spec, dag_hash))
+        assert not cache.has(dag_hash)
+        assert cache.lookup(dag_hash) is None
+        assert cache.entries() == []
+        with pytest.raises(BuildCacheError, match="no entry"):
+            cache.fetch_tarball(spec)
+
+        puller = _fresh_puller(tmp_path, cache_root)
+        _, result = puller.install("libelf", jobs=1)
+        assert result.cached == []
+        assert [s.spec.name for s in result.built] == ["libelf"]
+
+    def test_marker_without_sidecar_is_skipped(self, tmp_path, tiny_prefix):
+        cache = BuildCache(str(tmp_path / "bc"))
+        donor = _synthetic("probe", tool="1.0")
+        cache.push(donor, tiny_prefix, "/build/root")
+        target = _synthetic("probe", tool="2.0")
+        # a torn push of another donor: its marker sorts first, and its
+        # sidecar was never written
+        markers = os.path.join(cache.root, "runtime", target.runtime_hash())
+        os.makedirs(markers, exist_ok=True)
+        open(os.path.join(markers, "0" * 40), "w").close()
+        assert cache.find_splice_donor(target)[0] == donor.dag_hash()
+
+        os.remove(cache.sidecar_path(donor.dag_hash()))
+        assert cache.find_splice_donor(target) is None
+
+    def test_threads_pushing_distinct_hashes_lose_no_entry(self, tmp_path,
+                                                           tiny_prefix):
+        """The lost update the index lock once prevented: pushers (one
+        cache object each, as separate sessions have) racing into one
+        directory all keep their entries."""
+        root = str(tmp_path / "bc")
+        n_threads, per_thread = 8, 12
+        groups = [
+            [_synthetic("pkg-%d-%d" % (t, i), tool="1.0")
+             for i in range(per_thread)]
+            for t in range(n_threads)
+        ]
+        barrier = threading.Barrier(n_threads)
+        errors = []
+
+        def pusher(specs):
+            cache = BuildCache(root)
+            try:
+                barrier.wait(timeout=30)
+                for spec in specs:
+                    cache.push(spec, tiny_prefix, "/build/root")
+            except Exception as e:
+                errors.append(e)
+
+        threads = [threading.Thread(target=pusher, args=(g,)) for g in groups]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not [t for t in threads if t.is_alive()]
+        assert errors == []
+
+        cache = BuildCache(root)
+        pushed = [spec for group in groups for spec in group]
+        assert [h for h, _ in cache.entries()] == sorted(
+            spec.dag_hash() for spec in pushed
+        )
+        for spec in pushed:
+            data, entry = cache.fetch_tarball(spec)
+            assert Spec.from_dict(entry["spec"]).dag_hash() == spec.dag_hash()
+            twin = _synthetic(spec.name, tool="2.0")
+            assert cache.find_splice_donor(twin)[0] == spec.dag_hash()
+
+
+class TestOlderLayout:
+    """A cache written with a whole-cache ``index.json`` under
+    ``.index.lock``, whose sidecars record no runtime hash."""
+
+    @staticmethod
+    def _downgrade(cache):
+        """Rewrite ``cache`` into the older layout, in place."""
+        index = {}
+        for name in os.listdir(cache.root):
+            if not name.endswith(".spec.json"):
+                continue
+            dag_hash = name[: -len(".spec.json")]
+            with open(cache.sidecar_path(dag_hash)) as f:
+                entry = json.load(f)
+            entry.pop("runtime_hash", None)
+            spec = Spec.from_dict(entry["spec"])
+            index[dag_hash] = {
+                "name": spec.name, "version": str(spec.version),
+                "digest": entry["digest"], "runtime_hash": spec.runtime_hash(),
+            }
+            with open(cache.sidecar_path(dag_hash), "w") as f:
+                f.write(json.dumps(entry, sort_keys=True))
+        shutil.rmtree(os.path.join(cache.root, "runtime"), ignore_errors=True)
+        index_bytes = json.dumps(index, sort_keys=True).encode()
+        with open(os.path.join(cache.root, "index.json"), "wb") as f:
+            f.write(index_bytes)
+        open(os.path.join(cache.root, ".index.lock"), "w").close()
+        return index_bytes
+
+    def test_older_sidecars_serve_exact_hash_pulls(self, tmp_path,
+                                                   pushing_session,
+                                                   cache_root):
+        spec, first = pushing_session.install("libdwarf", jobs=1)
+        cache = pushing_session.buildcache
+        index_bytes = self._downgrade(cache)
+
+        puller = _fresh_puller(tmp_path, cache_root)
+        pulled, result = puller.install("libdwarf", jobs=1)
+        assert pulled.dag_hash() == spec.dag_hash()
+        assert result.built == []
+        assert len(result.cached) == len(first.built)
+        from repro.store.verify import verify_store
+
+        assert verify_store(puller) == []
+
+        layout = pushing_session.store.layout
+        for node in spec.traverse():
+            cache.push(node, layout.path_for_spec(node), pushing_session.root)
+        with open(os.path.join(cache.root, "index.json"), "rb") as f:
+            assert f.read() == index_bytes
 
 
 class TestRoundTrip:
@@ -188,7 +420,7 @@ class TestRoundTrip:
         warm = Session.create(str(tmp_path / ("warm-%d" % jobs)))
         warm.enable_buildcache(root=cache_root, push=True)
         spec_a, result_a = warm.install("mpileaks", jobs=jobs)
-        assert len(warm.buildcache.read_index()) == len(result_a.built)
+        assert len(warm.buildcache.entries()) == len(result_a.built)
 
         hub = Telemetry()
         sink = MemorySink()
