@@ -15,18 +15,22 @@ repositories have) and, per tier:
   virtual-spec lookups against the sharded ``ProviderIndex`` memo; the
   per-lookup cost must stay flat (within 2x) from 1k to 10k, the
   regression the bounded-LRU fix exists to prevent;
-* **peak RSS** — the process high-water mark after the tier.
+* **peak RSS** — the high-water mark of the tier's own process: each
+  tier runs in a freshly spawned interpreter that returns its results,
+  so the number is the tier's, not that of whatever ran before it in
+  the pytest process.
 
 ``REPRO_SCALE_TIERS`` (comma-separated package counts) restricts the
 tiers; CI runs the 1k tier only, and the regression gate treats the
 missing 5k/10k keys as removed-not-regressed.
 """
 
-import gc
 import json
+import multiprocessing
 import os
 import resource
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 from conftest import write_result
 
@@ -84,6 +88,16 @@ def _fixture_config():
 
 
 def _peak_rss_mb():
+    """This process's peak RSS.  On Linux that is ``VmHWM``: a spawned
+    interpreter's ``ru_maxrss`` starts at its parent's, because the
+    kernel carries the high-water mark across the fork and exec."""
+    try:
+        with open("/proc/self/status") as f:
+            for line in f:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
@@ -160,16 +174,21 @@ def _run_tier(count, base_dir):
         "provider_memo_hit_ratio": round(hits / float(hits + misses), 4),
         "peak_rss_mb": round(_peak_rss_mb(), 1),
     }
-    del session, repo, cold, warm
-    gc.collect()
     return tier
+
+
+def _run_tier_alone(count, base_dir):
+    """:func:`_run_tier` in a freshly spawned process, for its peak RSS."""
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+        return pool.submit(_run_tier, count, base_dir).result()
 
 
 def test_environment_scale(benchmark, tmp_path):
     tiers = _tiers()
 
     def drive():
-        return {count: _run_tier(count, str(tmp_path)) for count in tiers}
+        return {count: _run_tier_alone(count, str(tmp_path)) for count in tiers}
 
     results = benchmark.pedantic(drive, rounds=1, iterations=1)
 

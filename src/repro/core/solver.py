@@ -144,7 +144,7 @@ class SolverConcretizer(Concretizer):
     #: the reuse objective reads ``database`` (only its ``query()``)
     reuses_installed = True
 
-    def __init__(self, *args, max_attempts=256, **kwargs):
+    def __init__(self, *args, max_attempts=256, rankings=None, **kwargs):
         super().__init__(*args, **kwargs)
         self.max_attempts = max_attempts
         #: introspection: the last concretize() call's search statistics
@@ -154,7 +154,12 @@ class SolverConcretizer(Concretizer):
         self.last_score = None
         self.last_proven_optimal = False
         self.last_deviations = {}
-        self._rank_memo = {}
+        #: preference rankings (see below): pure functions of the
+        #: universe, config, compilers and policy, so a frozen State
+        #: hands every solver it builds one shared dict; concurrent
+        #: fills store equal values, and its size is bounded by the
+        #: universe.  A solver built without one keeps its own.
+        self._rank_memo = {} if rankings is None else rankings
 
     # -- public API ---------------------------------------------------------
     def concretize(self, abstract_spec):
@@ -178,15 +183,18 @@ class SolverConcretizer(Concretizer):
         return self._solve(abstract_spec)
 
     # -- objective ----------------------------------------------------------
-    def score(self, concrete):
+    def score(self, concrete, installed=None):
         """The weighted objective of a concrete DAG (lower is better).
 
         Pure function of the DAG, the package universe, and the policy
         stack — the oracle uses it to score *other* concretizers'
-        answers on the same scale.
+        answers on the same scale.  ``installed`` is the set of installed
+        DAG hashes when the caller holds it (a solve reads it once);
+        otherwise it is read from ``database`` here.
         """
         cost = 0
-        installed = self._installed_hashes()
+        if installed is None:
+            installed = self._installed_hashes()
         root = concrete
         for node in concrete.traverse():
             if not self.repo.exists(node.name):
@@ -224,22 +232,34 @@ class SolverConcretizer(Concretizer):
         return W_CDEP + rank * W_STEP
 
     def _default_compiler(self, parent_compiler, requirements):
+        """The ``name@version`` policy gives a node under
+        ``parent_compiler`` with feature ``requirements`` (None if no
+        registered compiler qualifies), once per State."""
         from repro.compilers.registry import CompilerError
 
+        memo_key = (
+            "default compiler",
+            str(parent_compiler) if parent_compiler is not None else None,
+            tuple(str(r) for r in requirements),
+        )
+        if memo_key in self._rank_memo:
+            return self._rank_memo[memo_key]
+        default = None
         try:
             cspec = self.policy.choose_compiler(
                 self.compilers, parent_compiler, requirements=requirements
             )
-            if cspec is None:
-                return None
-            best = self.policy.choose_compiler_version(
-                self.compilers, cspec, requirements=requirements
-            )
+            if cspec is not None:
+                best = self.policy.choose_compiler_version(
+                    self.compilers, cspec, requirements=requirements
+                )
+                default = "%s@%s" % (best.name, best.version)
         except CompilerError:
-            return None
-        return "%s@%s" % (best.name, best.version)
+            pass
+        self._rank_memo[memo_key] = default
+        return default
 
-    # -- preference rankings (memoized per universe state) ------------------
+    # -- preference rankings (memoized per State) ---------------------------
     def _version_preference(self, name, cls):
         """Declared versions, most policy-preferred first."""
         memo_key = ("version", name)
@@ -570,6 +590,7 @@ class SolverConcretizer(Concretizer):
         incumbent = None
         incumbent_score = None
         last_error = None
+        installed = None  # read once, at the first success
 
         # Best-first over assignment vectors.  Each heap entry is a
         # complete candidate (unassigned variables default to greedy);
@@ -610,7 +631,9 @@ class SolverConcretizer(Concretizer):
                     self.last_nogoods += 1
                     self._count("nogoods")
                 else:
-                    found = self.score(concrete)
+                    if installed is None:
+                        installed = self._installed_hashes()
+                    found = self.score(concrete, installed)
                     if incumbent_score is None or found < incumbent_score:
                         incumbent = concrete
                         incumbent_score = found

@@ -39,7 +39,7 @@ from collections import OrderedDict
 
 from repro.compilers.registry import CompilerRegistry
 from repro.config.config import Config, ConfigError
-from repro.core import CONCRETIZERS, concretizer_variant
+from repro.core import CONCRETIZERS, SolverConcretizer, concretizer_variant
 from repro.core.conc_cache import ConcretizationCache, EnvironmentDigest
 from repro.core.policies import DefaultPolicy
 from repro.errors import ReproError
@@ -164,6 +164,9 @@ class StateSnapshot:
         self._lock = threading.Lock()
         #: package name -> its package_info answer, built on first use
         self._infos = {}
+        #: the solver's preference rankings, shared by every solver this
+        #: State builds (see SolverConcretizer)
+        self._rankings = {}
 
     @property
     def env_digest(self):
@@ -185,10 +188,17 @@ class StateSnapshot:
         return concretizer_variant(name, self.config)
 
     def concretizer(self, variant="greedy", database=None):
-        """A fresh concretizer of ``variant`` over the frozen state."""
-        return CONCRETIZERS[variant](
+        """A fresh concretizer of ``variant`` over the frozen state; a
+        solver shares this State's preference rankings."""
+        cls = CONCRETIZERS[variant]
+        shared = (
+            {"rankings": self._rankings}
+            if issubclass(cls, SolverConcretizer) else {}
+        )
+        return cls(
             self.repo, self.provider_index, self.compilers, self.config,
             self.policy, telemetry=self.telemetry, database=database,
+            **shared,
         )
 
     def memo_key(self, spec, variant, database=None):

@@ -65,6 +65,11 @@ _NO_VIRTUALS = frozenset()
 #: process parses each distinct text once
 _STORED_COMPILERS = InternPool(maxsize=4096)
 
+#: stored version texts (``1.2.3``) that :meth:`Spec.from_dict` read
+#: into a frozen node -> (the VersionList those nodes share, its
+#: canonical text)
+_STORED_VERSIONS = InternPool(maxsize=4096)
+
 
 def canonical_deptype(deptype):
     """Normalize a deptype argument to a frozenset of valid type names.
@@ -408,6 +413,8 @@ class Spec:
         self._rhash = None
         self._nrepr = None
         self._dkey = None
+        #: the rendered text, kept once a frozen node renders it
+        self._str = None
         self._p_name = None
         self._p_versions = any_version() if versions is None else versions
         self._p_compiler = None
@@ -485,20 +492,8 @@ class Spec:
         copy, preserving the one-node-per-name invariant structurally.
         """
         self._dup_node(other)
-        self.dependencies = _DependencyMap(self)
         if deps:
-            memo = {other.name or id(other): self}
-            other._copy_deps_into(self, memo)
-            # edge insertion invalidated the fresh nodes' caches; restore
-            # the stamped concreteness/hash state from the originals
-            originals = {n.name or id(n): n for n in other.traverse()}
-            for key, copied in memo.items():
-                source = originals.get(key)
-                if source is not None:
-                    copied._concrete = source._concrete
-                    copied._normal = source._normal
-                    copied._hash = source._hash
-                    copied._rhash = source._rhash
+            other._copy_deps_into(self, {other.name or id(other): self})
         else:
             self._concrete = False
             self._normal = False
@@ -506,15 +501,23 @@ class Spec:
             self._rhash = None
 
     def _copy_deps_into(self, new, memo):
-        for name, dep in self.dependencies.items():
+        """Give the fresh node ``new`` this node's edges, to copies made
+        once per name (``memo``).  Each edge is written directly, as
+        :meth:`from_dict` writes it — the dict entry, the edge type and
+        the child's back-reference — so no invalidation fires and the
+        copied nodes keep the state :meth:`_dup_node` gave them."""
+        edges = self.dependencies
+        copied = new.dependencies
+        for name, dep in edges.items():
             key = dep.name or id(dep)
             child = memo.get(key)
             if child is None:
-                child = Spec()
+                child = memo[key] = Spec()
                 child._dup_node(dep)
-                memo[key] = child
                 dep._copy_deps_into(child, memo)
-            new.dependencies.set_edge(name, child, self.dependencies.deptypes(name))
+            dict.__setitem__(copied, name, child)
+            copied._edge_types[name] = edges.deptypes(name)
+            child._register_parent(new)
 
     # -- construction helpers ---------------------------------------------
     def _add_dependency(self, dep_spec, deptypes=None):
@@ -552,42 +555,54 @@ class Spec:
             )
 
     def _reset_caches(self):
+        """Drop this node's cached state; True if some of it was
+        DAG-level (concreteness or a hash), which ancestors may share."""
+        held = (self._concrete or self._normal or self._hash is not None
+                or self._rhash is not None)
         self._hash = None
         self._rhash = None
         self._concrete = False
         self._normal = False
         self._nrepr = None
-        self._dkey = None
+        return held
 
     def invalidate_caches(self):
-        """Drop cached hash/reprs here *and on every ancestor*.
+        """Drop cached state here, and on every ancestor that holds some.
 
         A concrete DAG caches ``_hash`` and its canonical node/DAG reprs
         per node; mutating a shared child (``constrain``,
         ``_add_dependency``, any parameter assignment) changes every
-        ancestor's DAG state too, so
-        invalidation walks the parent back-references — otherwise
-        ancestors keep serving stale cached state with ``_concrete``
-        still True.  A frozen node never changes, so its caches stay and
-        nothing is walked.
+        ancestor's DAG state too, so invalidation climbs the parent
+        back-references — otherwise ancestors keep serving stale cached
+        state with ``_concrete`` still True.
+
+        The climb starts only from nodes that held DAG-level state
+        (``_concrete``, ``_normal``, ``_hash``, ``_rhash``), which is
+        sound because:
+
+        * a hash is stored only on a concrete node;
+        * concreteness is DAG-wide: a concrete node's descendants are
+          concrete, and invalidation clears it on every ancestor, so a
+          node without it has no ancestor with it;
+        * ``_nrepr`` describes the node alone, and ``_dkey`` (the whole
+          DAG's key) is stored only on frozen nodes;
+        * a frozen node never changes, so it is never invalidated.
+
+        Inside the fixed point, which works on a private non-concrete
+        copy, a write therefore resets one node.
         """
-        if self._frozen:
+        if self._frozen or not self._reset_caches():
             return
-        if not self._dependents:
-            self._reset_caches()
-            return
+        seen = {id(self)}
         stack = [self]
-        seen = set()
         while stack:
             node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            node._reset_caches()
             for ref in list(node._dependents.values()):
                 parent = ref()
-                if parent is not None:
-                    stack.append(parent)
+                if parent is not None and id(parent) not in seen:
+                    seen.add(id(parent))
+                    if parent._reset_caches():
+                        stack.append(parent)
 
     def copy(self, deps=True):
         """A mutable copy of this DAG (or of this node alone): the way to
@@ -681,41 +696,52 @@ class Spec:
         self._prefix = value
 
     # -- traversal ----------------------------------------------------------
-    def traverse(self, order="pre", root=True, depth=False, deptype=None,
-                 _visited=None, _d=0):
-        """Iterate over the DAG's unique nodes (by name).
+    def traverse(self, order="pre", root=True, depth=False, deptype=None):
+        """Iterate over the DAG's unique nodes (by name), depth first.
 
         ``order``: 'pre' (parents first) or 'post' (children first).
+        ``root``: False leaves this node out (its sub-DAG is walked).
         ``depth``: yield ``(depth, spec)`` tuples instead of specs.
         ``deptype``: only follow edges whose type set overlaps this
         (a name, an iterable of names, or None for every edge) — e.g.
         ``traverse(deptype=("link", "run"))`` walks the runtime closure.
+
+        One generator frame walks an explicit stack of (node, depth,
+        iterator over its sorted child names).  The walk stays lazy: in
+        pre-order a node's child names are read only after the node is
+        yielded, and each child is looked up when the walk reaches it,
+        so a caller may repoint the edges of the node it was just handed
+        (the concretizer's virtual swap does).
         """
         if deptype is not None and not isinstance(deptype, frozenset):
             deptype = canonical_deptype(deptype)
-        if _visited is None:
-            _visited = set()
-        key = self.name or id(self)
-        if key in _visited:
-            return
-        _visited.add(key)
-
-        def emit():
-            return (_d, self) if depth else self
-
-        if order == "pre" and root:
-            yield emit()
-        for name in sorted(self.dependencies):
-            if deptype is not None and not (
-                self.dependencies.deptypes(name) & deptype
-            ):
-                continue
-            yield from self.dependencies[name].traverse(
-                order=order, root=True, depth=depth, deptype=deptype,
-                _visited=_visited, _d=_d + 1
-            )
-        if order == "post" and root:
-            yield emit()
+        pre = order == "pre"
+        post = order == "post"
+        visited = {self._p_name or id(self)}
+        if pre and root:
+            yield (0, self) if depth else self
+        stack = [(self, 0, iter(sorted(self.dependencies)))]
+        while stack:
+            node, d, names = stack[-1]
+            deps = node.dependencies
+            for name in names:
+                if deptype is not None and not deps.deptypes(name) & deptype:
+                    continue
+                child = deps[name]
+                key = child._p_name or id(child)
+                if key in visited:
+                    continue
+                visited.add(key)
+                if pre:
+                    yield (d + 1, child) if depth else child
+                    if not child.dependencies:
+                        continue  # a leaf: nothing below it to walk
+                stack.append((child, d + 1, iter(sorted(child.dependencies))))
+                break
+            else:
+                stack.pop()
+                if post and (root or stack):
+                    yield (d, node) if depth else node
 
     def link_run_subdag(self):
         """A copy of this DAG restricted to link/run edges.
@@ -1007,15 +1033,15 @@ class Spec:
         )
 
     def _dag_key(self):
-        """The full-DAG canonical tuple, cached until the next mutation.
-
-        Child mutations propagate here through the dependent
-        back-references, so a cached value is always current.  This is
-        the comparison key for ``__eq__``/``__hash__``.
-        """
+        """The full-DAG canonical tuple: the comparison key for
+        ``__eq__``/``__hash__``.  Stored only on a frozen node, whose
+        DAG never changes; a mutable DAG computes it per call, so no
+        write below has to reach it."""
         dkey = self._dkey
         if dkey is None:
-            dkey = self._dkey = self._dag_repr({})
+            dkey = self._dag_repr({})
+            if self._frozen:
+                self._dkey = dkey
         return dkey
 
     def __eq__(self, other):
@@ -1053,11 +1079,17 @@ class Spec:
     def __str__(self):
         """Canonical, re-parseable rendering: root node, then each unique
         dependency node flattened with ``^`` in name order (as the original
-        prints specs — edge structure is re-derived by normalization)."""
-        deps = self.flat_dependencies()
-        parts = [self.node_str()]
-        parts.extend("^%s" % deps[name].node_str() for name in sorted(deps))
-        return " ".join(parts)
+        prints specs — edge structure is re-derived by normalization).
+        A frozen spec renders once and keeps the text."""
+        text = self._str
+        if text is None:
+            deps = self.flat_dependencies()
+            parts = [self.node_str()]
+            parts.extend("^%s" % deps[name].node_str() for name in sorted(deps))
+            text = " ".join(parts)
+            if self._frozen:
+                self._str = text
+        return text
 
     def __repr__(self):
         return "Spec(%r)" % str(self)
@@ -1152,8 +1184,10 @@ class Spec:
         in a table of the valid sets.  A concrete payload (a database
         record, a lockfile root, a persistent-cache entry) comes back
         frozen, as :meth:`freeze` leaves a DAG, ready to be shared; its
-        nodes share one CompilerSpec per distinct compiler, which like
-        every field of a frozen node is never changed in place.  An
+        nodes share one CompilerSpec per distinct compiler, and frozen
+        nodes share one VersionList per version text (a bounded pool
+        shared by the process), which like every field of a frozen node
+        is never changed in place (:meth:`copy` copies both).  An
         abstract payload comes back mutable, each node owning its
         fields, with the parent back-references invalidation walks.
         """
@@ -1168,7 +1202,11 @@ class Spec:
                 return node
             nd = node_data[name]
             node = built[name] = cls.__new__(cls)
-            versions = VersionList(nd["versions"])
+            if frozen:
+                versions, versions_text = _stored_versions(nd["versions"])
+            else:
+                versions = VersionList(nd["versions"])
+                versions_text = str(versions)
             node._init_empty(versions)
             node._frozen = frozen
             node._p_name = nd["name"]
@@ -1185,7 +1223,7 @@ class Spec:
             node._p_architecture = nd["architecture"]
             node._p_external = nd["external"]
             node._nrepr = (
-                node._p_name or "", str(versions), compiler_text,
+                node._p_name or "", versions_text, compiler_text,
                 tuple(sorted(variants.items())), node._p_architecture or "",
                 node._p_external or "",
             )
@@ -1237,6 +1275,16 @@ def _stored_compiler(text):
     cspec.versions = VersionList()
     cspec.versions.constraints = list(constraints)
     return canonical, cspec
+
+
+def _stored_versions(text):
+    """(the shared VersionList, its canonical text) for a stored version
+    text, parsed once per distinct text (:data:`_STORED_VERSIONS`)."""
+    stored = _STORED_VERSIONS.get(text)
+    if stored is None:
+        versions = VersionList(text)
+        stored = _STORED_VERSIONS.put(text, (versions, str(versions)))
+    return stored
 
 
 def _stored_deptypes(types):

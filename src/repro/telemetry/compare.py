@@ -22,6 +22,7 @@ the schema migration and old artifacts stay diffable.
 import fnmatch
 import json
 import os
+import re
 
 from repro.telemetry.metrics import BENCH_SCHEMA, flatten_metrics
 
@@ -34,13 +35,20 @@ _HIGHER_BETTER = ("speedup", "hit_ratio", "throughput", "utilization",
 
 #: key fragments forcing lower-is-better even when a higher-better
 #: fragment also matches (checked first)
-_LOWER_BETTER = ("seconds", "_s", "wall", "overhead", "misses", "drops",
+_LOWER_BETTER = ("seconds", "wall", "overhead", "misses", "drops",
                  "divergences", "spans", "duration")
+
+#: the seconds unit suffix: ``_s`` ending the key or one of its dotted
+#: components (``latency_p50_s``), not inside a word
+#: (``warm_speedup_1k``, ``speedup_spliced_vs_cold``)
+_SECONDS_SUFFIX = re.compile(r"_s(\.|$)")
 
 
 def higher_is_better(key):
     """True when an increase in ``key`` is an improvement."""
     low = key.lower()
+    if _SECONDS_SUFFIX.search(low):
+        return False
     for fragment in _LOWER_BETTER:
         if fragment in low:
             return False

@@ -374,12 +374,25 @@ class VersionList:
         return False
 
     def satisfies(self, other, strict=False):
-        """Compatibility (overlap) or, with ``strict``, containment in other."""
+        """Compatibility (overlap) or, with ``strict``, containment in other.
+
+        Containment holds when each of this list's intervals lies inside
+        one of ``other``'s.  That is the answer
+        ``self.intersection(other) == self`` gives, without building the
+        intersection: ``other``'s intervals are disjoint, so an interval
+        that meets two of them intersects to two pieces, never to itself.
+        """
         other = _as_list(other)
-        if strict:
-            # every list is contained in the universal one
-            return other.universal or self.intersection(other) == self
-        return self.overlaps(other)
+        if not strict:
+            return self.overlaps(other)
+        if other.universal:
+            return True  # every list is contained in the universal one
+        outer = [_interval(c) for c in other.constraints]
+        for constraint in self.constraints:
+            lo, hi = _interval(constraint)
+            if not any(olo <= lo and hi <= ohi for olo, ohi in outer):
+                return False
+        return True
 
     def intersection(self, other):
         """Return a new VersionList: pairwise interval intersection."""

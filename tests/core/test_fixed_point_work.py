@@ -124,3 +124,31 @@ class TestStoredCompilers:
         assert mutable["libelf"].compiler is not mutable["libdwarf"].compiler
         mutable["libelf"].constrain(Spec("libelf%gcc@4.9.2"))
         assert first.dag_hash() == concrete.dag_hash()
+
+
+class TestStoredVersions:
+    def test_frozen_nodes_of_one_version_share_a_list(self, session,
+                                                      monkeypatch):
+        concrete = session.concretize("mpileaks", use_cache=False)
+        data = concrete.to_dict()
+        monkeypatch.setattr(spec_module, "_STORED_VERSIONS", InternPool())
+        first = Spec.from_dict(data)
+        second = Spec.from_dict(data)
+        for name in ("libelf", "callpath"):
+            a, b = first[name], second[name]
+            assert a.versions is b.versions
+            assert a.node_repr()[1] == str(a.versions)
+        assert first.dag_hash() == second.dag_hash() == concrete.dag_hash()
+        # a copy owns its lists; writing one leaves the shared list alone
+        mutable = first.copy()
+        assert mutable["libelf"].versions is not first["libelf"].versions
+        mutable["libelf"].versions.intersect(VersionList("0.8.13"))
+        assert str(first["libelf"].versions) == str(concrete["libelf"].versions)
+        assert second.dag_hash() == concrete.dag_hash()
+
+    def test_abstract_payload_nodes_own_their_lists(self):
+        abstract = Spec("mpileaks@2: ^callpath@1.0")
+        data = abstract.to_dict()
+        a, b = Spec.from_dict(data), Spec.from_dict(data)
+        assert a.versions is not b.versions
+        assert a["callpath"].versions is not b["callpath"].versions

@@ -298,6 +298,71 @@ class TestReuse:
             installed_nodes * W_REUSE
 
 
+    def test_a_solve_reads_the_installed_set_once(self, session):
+        """``score`` runs on every successful attempt; the installed
+        hashes it reads (a database query and a walk of every record)
+        are read once per solve.  A standalone ``score`` reads its own."""
+        session.install("libdwarf")
+        queries = []
+
+        class CountingDatabase:
+            def query(self):
+                queries.append(1)
+                return session.db.query()
+
+        repo = Repository(namespace="solver.installed")
+        repo.add_class("anchor", _make_package("anchor", ["2.0", "1.0"], []))
+        repo.add_class("vpick-aaa", _make_package(
+            "vpick-aaa", ["1.0"], [("anchor", "@1.0", None)],
+            provided="vgood"))
+        repo.add_class("vpick-zzz", _make_package(
+            "vpick-zzz", ["1.0"], [], provided="vgood"))
+        repo.add_class("top", _make_package(
+            "top", ["1.0"], [("vgood", "", None)]))
+        _, solver = _stack(repo, database=CountingDatabase())
+        scores = []
+        real_score = solver.score
+        solver.score = lambda *a, **k: scores.append(1) or real_score(*a, **k)
+        concrete = solver.concretize("top")
+        assert len(scores) >= 2  # greedy's DAG, then the better one
+        assert len(queries) == 1
+        del solver.score
+        solver.score(concrete)
+        assert len(queries) == 2
+
+
+class TestSharedRankings:
+    def test_two_requests_on_one_state_reach_each_package_once(
+            self, session, monkeypatch):
+        """Rankings are pure functions of the frozen State: the second
+        solver it builds finds every influence closure computed, and
+        runs ``_reachable`` only over its own request's roots."""
+        calls = []
+        real = SolverConcretizer._reachable
+
+        def counting(self, roots):
+            calls.append(tuple(roots))
+            return real(self, roots)
+
+        monkeypatch.setattr(SolverConcretizer, "_reachable", counting)
+        state = session.snapshots.current()
+        first = state.concretize("mpileaks", "solver", use_cache=False)
+        assert len(calls) > 5
+        del calls[:]
+        second = state.concretize("mpileaks", "solver", use_cache=False)
+        assert calls == [("mpileaks",)]
+        assert second.dag_hash() == first.dag_hash()
+        assert state.concretizer("solver")._rank_memo is \
+            state.concretizer("solver")._rank_memo
+
+    def test_a_solver_built_outside_a_state_keeps_its_own(self):
+        repo = RepoGenerator(3, count=6, virtuals=1).build()
+        _, one = _stack(repo)
+        _, two = _stack(repo)
+        one.concretize(repo.all_package_names()[0])
+        assert one._rank_memo and two._rank_memo == {}
+
+
 class TestLimitsAndErrors:
     def test_attempt_budget_raises_typed_limit_error(self):
         scenario = greedy_dead_end_corpus()[0]  # hwloc: needs 2 attempts

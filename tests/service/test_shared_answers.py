@@ -285,3 +285,25 @@ class TestResponseBodies:
             daemon.snapshots.current().forget()
             gc.collect()
             assert daemon._bodies == {}
+
+    def test_spack_find_renders_each_record_once(self, tsession, monkeypatch):
+        """``Database.query`` sorts by the rendered text and the endpoint
+        renders it again: a frozen record keeps its text, so repeated
+        finds over M records render each one once."""
+        tsession.install("mpileaks")
+        tsession.db.refresh()  # the records as a fresh process reads them
+        records = list(tsession.db._records.values())
+        nodes = sum(len(list(r.spec.traverse())) for r in records)
+        renders = []
+        real = Spec.node_str
+
+        def counting(self):
+            renders.append(self.name)
+            return real(self)
+
+        monkeypatch.setattr(Spec, "node_str", counting)
+        with ServiceDaemon(tsession, workers=2) as daemon:
+            found = [daemon.call("spack_find") for _ in range(3)]
+        assert found[0] == found[1] == found[2]
+        assert found[0]["count"] == len(records) >= 6
+        assert len(renders) == nodes

@@ -1,6 +1,8 @@
 """Metrics export (Prometheus + bench schema) and the compare engine."""
 
+import glob
 import json
+import os
 
 import pytest
 
@@ -92,6 +94,37 @@ class TestDirections:
         assert higher_is_better("speedup_j4")
         assert higher_is_better("buildcache_hits")
         assert higher_is_better("utilization")
+
+    def test_seconds_suffix_only_ends_a_key_or_component(self):
+        assert not higher_is_better("latency_p50_s")
+        assert not higher_is_better("j2.wall_s.median")
+        # "_s" starting a word is no unit: these are speedups
+        assert higher_is_better("warm_speedup_1k")
+        assert higher_is_better("speedup_spliced_vs_cold")
+        assert higher_is_better("j4.speedup_vs_serial")
+
+    def test_every_committed_baseline_key_reads_its_direction(self):
+        """Every key of benchmarks/results/BENCH_*.json: the gate reads
+        exactly these as higher-is-better, every other one lower."""
+        higher = {
+            "buildcache_hits", "speedup_warm_vs_cold",
+            "speedup",
+            "j1.speedup_vs_serial", "j2.speedup_vs_serial",
+            "j4.speedup_vs_serial", "speedup_j4",
+            "provider_memo_hit_ratio_1k", "provider_memo_hit_ratio_5k",
+            "provider_memo_hit_ratio_10k",
+            "warm_speedup_1k", "warm_speedup_5k", "warm_speedup_10k",
+            "throughput_rps",
+            "speedup_spliced_vs_cold", "splice_hits",
+        }
+        results = os.path.join(os.path.dirname(__file__), "..", "..",
+                               "benchmarks", "results")
+        keys = set()
+        for path in glob.glob(os.path.join(results, "BENCH_*.json")):
+            keys.update(load_report(path)["metrics"])
+        assert higher <= keys and len(keys) > 80
+        wrong = sorted(k for k in keys if higher_is_better(k) != (k in higher))
+        assert wrong == []
 
     def test_lower_better_wins_conflicts(self):
         # "speedup...seconds" reads as a time: lower-better wins

@@ -6,6 +6,8 @@ commutativity/associativity/idempotence of intersection, consistency of
 ``satisfies`` with intersection, and union/contains coherence.
 """
 
+import random
+
 from hypothesis import given, settings, strategies as st
 
 from repro.version import Version, VersionList, VersionRange, any_version
@@ -83,6 +85,38 @@ def test_overlap_iff_nonempty_intersection(a, b):
 def test_strict_satisfies_is_containment(a, b):
     # strict satisfaction == intersection leaves a unchanged
     assert a.satisfies(b, strict=True) == (a.intersection(b) == a)
+
+
+def test_strict_satisfies_agrees_with_intersection_seeded():
+    """Strict ``satisfies`` tests interval containment; it must answer
+    as ``intersection(other) == self`` does on random lists, including
+    ones built to be contained (``other`` a union over ``self``)."""
+    rng = random.Random(4242)
+
+    def version():
+        parts = [str(rng.randint(0, 6)) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.2:
+            parts[-1] += rng.choice("ab")
+        return ".".join(parts)
+
+    def atom():
+        roll = rng.random()
+        if roll < 0.4:
+            return version()
+        lo, hi = sorted((Version(version()), Version(version())))
+        return "%s:%s" % (lo if roll < 0.85 else "", hi if roll > 0.55 else "")
+
+    def vlist():
+        return VersionList(",".join(atom() for _ in range(rng.randint(1, 4))))
+
+    contained = 0
+    for _ in range(3000):
+        a = vlist()
+        b = a.union(vlist()) if rng.random() < 0.4 else vlist()
+        expected = b.universal or a.intersection(b) == a
+        assert a.satisfies(b, strict=True) == expected, (str(a), str(b))
+        contained += expected
+    assert 600 < contained < 2400  # both answers were exercised
 
 
 @given(versions(), version_lists())
