@@ -22,8 +22,10 @@ telemetry-overhead percentage (gated by its own benchmark assert, and
 its near-zero baseline makes relative deltas meaningless).
 
 ``--self-test`` verifies the gate itself: it injects a synthetic 25%
-slowdown into a copy of one baseline and asserts the comparison trips,
-then compares a file against itself and asserts it passes.
+slowdown into a copy of one baseline and a 25% drop of a
+higher-is-better key into a copy of another, asserts the comparison
+trips on each, then compares a file against itself and asserts it
+passes.
 """
 
 import argparse
@@ -65,6 +67,10 @@ TOLERANCE_OVERRIDES = (
     ("*lookup_us*", 0.75),
     ("*_rss_mb*", 0.50),
 )
+
+#: the higher-is-better key the self-test drops by 25%: a fall in the
+#: solver's rescue rate must trip the gate as a slowdown does
+HIGHER_BETTER_PROBE = ("BENCH_solver.json", "rescue_rate")
 
 
 def gate(baseline_dir, current_dir, tolerance, report_path=None,
@@ -126,8 +132,9 @@ def self_test(baseline_dir, tolerance):
 
     Clones one committed baseline, multiplies a lower-is-better wall
     metric by 1.25 (a 25% slowdown — past the 20% gate), and asserts
-    the comparison reports a regression; then compares the untouched
-    file against itself and asserts a clean pass.
+    the comparison reports a regression; does the same for a 25% drop
+    of :data:`HIGHER_BETTER_PROBE`; then compares the untouched file
+    against itself and asserts a clean pass.
     """
     baselines = sorted(glob.glob(os.path.join(baseline_dir, "BENCH_*.json")))
     assert baselines, "no baselines to self-test against"
@@ -153,13 +160,23 @@ def self_test(baseline_dir, tolerance):
     )
     assert victim in tripped["regressions"]
 
+    name, probe = HIGHER_BETTER_PROBE
+    rated = load_report(os.path.join(baseline_dir, name))
+    dropped = copy.deepcopy(rated)
+    dropped["metrics"][probe] = rated["metrics"][probe] * 0.75
+    fell = compare_reports(rated, dropped, tolerance=tolerance,
+                           overrides=TOLERANCE_OVERRIDES)
+    assert probe in fell["regressions"], (
+        "gate failed to flag a 25%% drop of %s" % probe
+    )
+
     clean = compare_reports(base, load_report(path), tolerance=tolerance,
                             overrides=TOLERANCE_OVERRIDES)
     assert clean["ok"], "identical files must compare clean: %s" % (
         clean["regressions"],
     )
-    print("self-test OK: +25%% on %s trips the %.0f%% gate; "
-          "identical files pass" % (victim, tolerance * 100.0))
+    print("self-test OK: +25%% on %s and -25%% on %s trip the %.0f%% "
+          "gate; identical files pass" % (victim, probe, tolerance * 100.0))
     return 0
 
 

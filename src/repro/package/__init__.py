@@ -1,5 +1,5 @@
 """The ``Package`` base class: what package files subclass (paper §3.1)."""
 
-from repro.package.package import Package, PackageError, InstallError
+from repro.package.package import Package, PackageError
 
-__all__ = ["Package", "PackageError", "InstallError"]
+__all__ = ["Package", "PackageError"]

@@ -25,10 +25,6 @@ class PackageError(ReproError):
     """Something is wrong with a package definition or its use."""
 
 
-class InstallError(PackageError):
-    """A package failed to build or install."""
-
-
 class Package(metaclass=DirectiveMeta):
     """Base class for all packages.
 

@@ -20,10 +20,10 @@ from repro.spec.spec import Spec
 from repro.spec.errors import SpecError
 from repro.version import any_version
 
-#: per-virtual memo shards hold at most this many distinct constraint
-#: keys; beyond it the least-recently-used entry is evicted (the memo
-#: keeps serving hot constraints instead of freezing at the cap)
-MEMO_SHARD_CAP = 1024
+#: the memo holds at most this many distinct constraint keys; beyond it
+#: the least-recently-used entry is evicted (the memo keeps serving hot
+#: constraints instead of freezing at the cap)
+MEMO_CAP = 1024
 
 
 class ProviderEntry:
@@ -47,37 +47,26 @@ class ProviderEntry:
 class ProviderIndex:
     """Reverse index from virtual interface names to provider packages."""
 
-    def __init__(self, package_classes=None):
+    def __init__(self, package_classes):
+        #: virtual name -> its ProviderEntry list; fixed once built, so
+        #: no memo entry ever goes stale
         self._index = {}
-        #: memo of providers_for results, sharded by virtual name: each
-        #: shard is a bounded LRU (OrderedDict) keyed by the virtual
-        #: spec's canonical DAG tuple.  update() drops only the shards
-        #: of the virtuals the new provider touches, so registering one
-        #: package does not flush memo state for unrelated interfaces.
-        self._memo_shards = {}
+        for name, cls in package_classes.items():
+            for interface in getattr(cls, "provided", ()):
+                self._index.setdefault(interface.spec.name, []).append(
+                    ProviderEntry(name, interface.spec, interface.when)
+                )
+        #: providers_for results: a bounded LRU keyed by the virtual
+        #: spec's canonical DAG tuple (which starts with its name)
+        self._memo = OrderedDict()
         self._memo_lock = threading.Lock()
         self.memo_hits = 0
         self.memo_misses = 0
-        if package_classes:
-            for name, cls in package_classes.items():
-                self.update(name, cls)
 
     @classmethod
     def from_repo(cls, repo):
         """Build an index over every package in a Repository/RepoPath."""
         return cls(repo.all_classes())
-
-    def update(self, provider_name, package_class):
-        touched = set()
-        for interface in getattr(package_class, "provided", ()):
-            self._index.setdefault(interface.spec.name, []).append(
-                ProviderEntry(provider_name, interface.spec, interface.when)
-            )
-            touched.add(interface.spec.name)
-        if touched:
-            with self._memo_lock:
-                for vname in touched:
-                    self._memo_shards.pop(vname, None)
 
     # -- queries ------------------------------------------------------------
     def is_virtual(self, name):
@@ -105,10 +94,9 @@ class ProviderIndex:
         # the candidates, and the memoized originals must stay pristine.
         memo_key = vspec._dag_key()
         with self._memo_lock:
-            shard = self._memo_shards.get(vspec.name)
-            cached = shard.get(memo_key) if shard is not None else None
+            cached = self._memo.get(memo_key)
             if cached is not None:
-                shard.move_to_end(memo_key)
+                self._memo.move_to_end(memo_key)
                 self.memo_hits += 1
                 return [c.copy() for c in cached]
             self.memo_misses += 1
@@ -133,11 +121,10 @@ class ProviderIndex:
             candidates.append(provider)
         result = _dedupe_specs(candidates)
         with self._memo_lock:
-            shard = self._memo_shards.setdefault(vspec.name, OrderedDict())
-            shard[memo_key] = [c.copy() for c in result]
-            shard.move_to_end(memo_key)
-            while len(shard) > MEMO_SHARD_CAP:
-                shard.popitem(last=False)
+            self._memo[memo_key] = [c.copy() for c in result]
+            self._memo.move_to_end(memo_key)
+            while len(self._memo) > MEMO_CAP:
+                self._memo.popitem(last=False)
         return result
 
     def providers_for_name(self, virtual_name):

@@ -1,8 +1,8 @@
-"""The build executor: one node's fetch → stage → build → provenance.
+"""The build executor: one node's fetch → stage → build → provenance,
+or one cached prefix's extract → relocate → (splice →) verify.
 
-This is the execution layer of the planner/scheduler/executor stack —
-the old ``Installer._build_one`` logic made self-contained and safe to
-run from any scheduler worker:
+This is the execution layer of the planner/scheduler/executor stack,
+self-contained and safe to run from any scheduler worker:
 
 * all per-build state (stage, log, clock, phase timers) is local to the
   call; the ambient pieces (:func:`~repro.build.context.build_context`,
@@ -79,7 +79,7 @@ class BuildStats:
         self.real_seconds = real_seconds
         self.counts = counts
         #: wall seconds per install phase (fetch/stage/build/install for a
-        #: source build; extract/relocate/verify for a cache install)
+        #: source build; extract/relocate/(splice/)verify for a binary one)
         self.phases = dict(phases or {})
         #: True when this node came from the binary build cache
         self.cache_hit = cache_hit
@@ -137,34 +137,32 @@ class BuildExecutor:
         """Build ``node``; returns :class:`BuildStats`, or None if another
         session finished the same prefix while we waited for its lock
         (the caller should then treat the node as reused)."""
-        with self._prefix_lock(node):
-            if self.session.db.installed(node):
-                return None
-            self._heal_orphan_prefix(node)
-            return self._build(node, keep_stage=keep_stage)
+        return self._locked(node, self._build, node, keep_stage)
 
     def execute_cached(self, node, keep_stage=False):
-        """Install ``node`` from the binary build cache (same locking
+        """Install ``node`` from its own build-cache entry (same locking
         discipline as :meth:`execute`); falls back to a source build if
-        the cache entry is missing, corrupt, or fails verification."""
-        with self._prefix_lock(node):
-            if self.session.db.installed(node):
-                return None
-            self._heal_orphan_prefix(node)
-            return self._install_from_cache(node, keep_stage=keep_stage)
+        the entry is missing, corrupt, or fails verification."""
+        return self._locked(node, self._install_binary, node, None, keep_stage)
 
     def execute_spliced(self, node, donor_hash, keep_stage=False):
         """Install ``node`` by splicing a cached runtime-hash twin's
         binaries (same locking discipline as :meth:`execute`); falls back
         to a source build if the donor is missing, corrupt, or the
         spliced prefix fails verification."""
+        return self._locked(
+            node, self._install_binary, node, donor_hash, keep_stage
+        )
+
+    def _locked(self, node, install, *args):
+        """``install(*args)`` under ``node``'s prefix lock, after the
+        database re-check and the orphan heal; None if the node is
+        already installed."""
         with self._prefix_lock(node):
             if self.session.db.installed(node):
                 return None
             self._heal_orphan_prefix(node)
-            return self._install_from_splice(
-                node, donor_hash, keep_stage=keep_stage
-            )
+            return install(*args)
 
     def _heal_orphan_prefix(self, node):
         """Remove a prefix the database does not know about.
@@ -187,17 +185,30 @@ class BuildExecutor:
                       hash=node.dag_hash(8))
 
     # -- installing one node from the build cache -------------------------------
-    def _install_from_cache(self, node, keep_stage=False):
-        """Extract + relocate + verify one cached node; returns
+    def _install_binary(self, node, donor_hash=None, keep_stage=False):
+        """Install ``node`` from the build cache; returns
         :class:`BuildStats` with ``cache_hit=True``.
 
-        Phases are named ``extract``/``relocate``/``verify`` — a warm
-        install emits **zero** ``install.phase.build`` spans, which is
-        how telemetry proves no compilation happened.  Any cache-layer
-        failure (digest mismatch — including the ``buildcache.corrupt``
-        fault — unsafe tarball, or post-extract verification issues)
-        tears down the partial prefix and falls back to a source build:
-        the cache is an accelerator, never a correctness risk.
+        Without ``donor_hash`` this is an exact hit: ``node``'s own
+        entry, whose ``spec.json`` already describes ``node``, so only
+        the push-time root needs re-targeting.  ``donor_hash`` names a
+        runtime-hash twin instead, built from a DAG whose *full* hash
+        differs but whose link/run closure (the only thing baked into
+        the binaries) is identical.  Splicing it adds one phase:
+        re-target the donor's renamed hash-addressed prefixes onto
+        ``node``'s DAG, then re-identify the metadata — ``spec.json``
+        becomes ``node``'s and ``manifest.json`` and
+        ``binary_distribution.json`` record the donor as
+        ``spliced_from``.
+
+        Phases are ``extract``/``relocate``/(``splice``)/``verify`` — a
+        binary install emits **zero** ``install.phase.build`` spans,
+        which is how telemetry proves no compilation happened.  Any
+        cache-layer failure (digest mismatch — including the
+        ``buildcache.corrupt`` and ``buildcache.splice_stale`` faults —
+        an unsafe tarball, or verification issues) tears down the
+        partial prefix and falls back to a source build: the cache is an
+        accelerator, never a correctness risk.
         """
         from repro.store.buildcache import BuildCacheError, relocate_paths
         from repro.store.database import InstallRecord
@@ -207,103 +218,22 @@ class BuildExecutor:
         hub = session.telemetry
         cache = session.buildcache
         layout = session.store.layout
-        dag_hash = node.dag_hash()
+        spliced = donor_hash is not None
+        donor = {"donor": donor_hash[:8]} if spliced else {}
         prefix = None
         start = time.perf_counter()
         phases = {}
         timer = _PhaseTimer(phases, hub, package=node.name)
         try:
             with hub.span(
-                "install.cached",
-                package=node.name,
-                version=str(node.version),
-                worker=threading.current_thread().name,
-            ) as span:
-                with timer.phase("extract"):
-                    data, sidecar = cache.fetch_tarball(node, dag_hash)
-                    prefix = layout.create_install_directory(node)
-                    files = cache.extract(data, prefix)
-                with timer.phase("relocate"):
-                    old_root = sidecar.get("root") or ""
-                    rewritten = relocate_paths(prefix, {old_root: session.root})
-                    hub.count("buildcache.relocations")
-                    hub.count("buildcache.relocated_files", rewritten)
-                with timer.phase("verify"):
-                    issues = verify_install(
-                        session, InstallRecord(node, prefix)
-                    )
-                    if issues:
-                        raise BuildCacheError(
-                            "Extracted cache entry for %s failed verification"
-                            % node.name,
-                            long_message="; ".join(str(i) for i in issues),
-                        )
-                self._write_binary_distribution(node, prefix, sidecar)
-                span.set(files=files, relocated=rewritten,
-                         digest=sidecar.get("digest", "")[:12])
-                stats = BuildStats(
-                    node, 0.0, time.perf_counter() - start, {},
-                    phases=phases, cache_hit=True,
-                )
-                self._write_timing(node, prefix, stats)
-                return stats
-        except BuildCacheError as e:
-            if prefix and os.path.isdir(prefix):
-                shutil.rmtree(prefix, ignore_errors=True)
-            hub.count("buildcache.fallback")
-            hub.event(
-                "buildcache.fallback",
-                package=node.name,
-                hash=dag_hash[:8],
-                error=type(e).__name__,
-            )
-            return self._build(node, keep_stage=keep_stage)
-        except Exception:
-            if prefix and os.path.isdir(prefix):
-                shutil.rmtree(prefix, ignore_errors=True)
-            raise
-
-    # -- splicing one node from a runtime-hash twin -----------------------------
-    def _install_from_splice(self, node, donor_hash, keep_stage=False):
-        """Extract a donor's prefix, relocate it, and re-identify it as
-        ``node``; returns :class:`BuildStats` with ``spliced=True``.
-
-        The donor was built from a DAG whose *full* hash differs from the
-        requested node's — but its link/run closure (the only thing baked
-        into the binaries) is identical, so its artifacts are valid for
-        ``node`` byte-for-byte after relocation.  What must change is the
-        *identity* metadata: ``spec.json`` is rewritten to the requested
-        node's DAG and ``manifest.json``/``binary_distribution.json``
-        record both the new hash and the donor (``spliced_from``) —
-        provenance says what the prefix *is* and where its bytes came
-        from.  Any failure (stale donor payload — including the
-        ``buildcache.splice_stale`` fault — digest mismatch, or
-        post-splice verification issues) tears the prefix down and falls
-        back to a source build: splicing is an accelerator, never a
-        correctness risk.
-        """
-        from repro.store.buildcache import BuildCacheError, relocate_paths
-        from repro.store.database import InstallRecord
-        from repro.store.verify import verify_install
-
-        session = self.session
-        hub = session.telemetry
-        cache = session.buildcache
-        layout = session.store.layout
-        prefix = None
-        start = time.perf_counter()
-        phases = {}
-        timer = _PhaseTimer(phases, hub, package=node.name)
-        try:
-            with hub.span(
-                "install.spliced",
+                "install.spliced" if spliced else "install.cached",
                 package=node.name,
                 version=str(node.version),
                 worker=threading.current_thread().name,
             ) as span:
                 with timer.phase("extract"):
                     data, sidecar = cache.fetch_tarball(
-                        node, donor_hash, splice=True
+                        node, donor_hash, splice=spliced
                     )
                     prefix = layout.create_install_directory(node)
                     files = cache.extract(data, prefix)
@@ -312,24 +242,23 @@ class BuildExecutor:
                     rewritten = relocate_paths(prefix, {old_root: session.root})
                     hub.count("buildcache.relocations")
                     hub.count("buildcache.relocated_files", rewritten)
-                with timer.phase("splice"):
-                    # the donor's binaries reference *its* DAG's
-                    # hash-addressed prefixes (own RPATH, link deps);
-                    # re-target every renamed prefix onto the requested
-                    # DAG's paths, then re-identify the metadata
-                    respliced = relocate_paths(
-                        prefix,
-                        self._splice_prefix_map(node, sidecar, layout),
-                    )
-                    hub.count("buildcache.spliced_files", respliced)
-                    self._rewrite_spliced_provenance(node, prefix, donor_hash)
+                if spliced:
+                    with timer.phase("splice"):
+                        respliced = relocate_paths(
+                            prefix,
+                            self._splice_prefix_map(node, sidecar, layout),
+                        )
+                        hub.count("buildcache.spliced_files", respliced)
+                        self._rewrite_spliced_provenance(
+                            node, prefix, donor_hash
+                        )
                 with timer.phase("verify"):
                     issues = verify_install(
                         session, InstallRecord(node, prefix)
                     )
                     if issues:
                         raise BuildCacheError(
-                            "Spliced prefix for %s failed verification"
+                            "Cache install of %s failed verification"
                             % node.name,
                             long_message="; ".join(str(i) for i in issues),
                         )
@@ -337,30 +266,26 @@ class BuildExecutor:
                     node, prefix, sidecar, spliced_from=donor_hash
                 )
                 span.set(files=files, relocated=rewritten,
-                         donor=donor_hash[:8],
-                         digest=sidecar.get("digest", "")[:12])
+                         digest=sidecar.get("digest", "")[:12], **donor)
                 stats = BuildStats(
                     node, 0.0, time.perf_counter() - start, {},
-                    phases=phases, cache_hit=True, spliced=True,
+                    phases=phases, cache_hit=True, spliced=spliced,
                 )
                 self._write_timing(node, prefix, stats)
                 return stats
-        except BuildCacheError as e:
+        except Exception as e:
             if prefix and os.path.isdir(prefix):
                 shutil.rmtree(prefix, ignore_errors=True)
-            hub.count("buildcache.splice_fallback")
-            hub.event(
-                "buildcache.splice_fallback",
-                package=node.name,
-                hash=node.dag_hash(8),
-                donor=donor_hash[:8],
-                error=type(e).__name__,
+            if not isinstance(e, BuildCacheError):
+                raise
+            fallback = (
+                "buildcache.splice_fallback" if spliced
+                else "buildcache.fallback"
             )
+            hub.count(fallback)
+            hub.event(fallback, package=node.name, hash=node.dag_hash(8),
+                      error=type(e).__name__, **donor)
             return self._build(node, keep_stage=keep_stage)
-        except Exception:
-            if prefix and os.path.isdir(prefix):
-                shutil.rmtree(prefix, ignore_errors=True)
-            raise
 
     def _splice_prefix_map(self, node, sidecar, layout):
         """{donor prefix: target prefix} for every renamed DAG node.

@@ -22,19 +22,14 @@ every concrete spec owns a hash-addressed prefix):
 A failing build tears down its partial prefix; after the plan drains,
 the first failure (in deterministic post-order) is re-raised —
 :class:`InstallError` carrying the tail of the build log, or the
-original exception for non-Repro errors.
-
-Existing callers are untouched: ``Installer.install`` has the same
-signature (plus optional ``jobs``/``fail_fast``) and the same
-single-worker behavior, and :class:`BuildStats` still lives importably
-here (its implementation moved to the executor).
+original exception for non-Repro errors.  Otherwise ``install`` returns
+the :class:`~repro.store.scheduler.InstallResult` the scheduler built.
 """
 
 import os
 import shutil
 
 from repro.errors import ReproError
-from repro.store.executor import BuildExecutor, BuildStats  # noqa: F401  (compat re-export)
 from repro.store.plan import Planner
 from repro.store.scheduler import Scheduler
 
@@ -45,35 +40,6 @@ class InstallError(ReproError):
 
 class UninstallError(ReproError):
     """Removal refused (dependents exist) or failed."""
-
-
-class InstallResult:
-    """What an ``install()`` call did: built / reused / external nodes."""
-
-    def __init__(self, spec):
-        self.spec = spec
-        self.built = []
-        self.reused = []
-        self.externals = []
-        #: nodes installed by extracting + relocating a build-cache entry
-        self.cached = []
-        #: nodes installed by splicing a runtime-hash twin's binaries
-        self.spliced = []
-        #: nodes SKIPPED because a dependency failed (empty on success)
-        self.skipped = []
-        #: worker-pool width the scheduler ran with
-        self.jobs = 1
-        #: wall-clock seconds of the scheduler drive; compare with the
-        #: sum of per-node real_seconds to see DAG-parallel overlap
-        self.wall_seconds = 0.0
-
-    @property
-    def built_names(self):
-        return [s.spec.name for s in self.built]
-
-    @property
-    def reused_names(self):
-        return [s.name for s in self.reused]
 
 
 class Installer:
@@ -102,24 +68,15 @@ class Installer:
         db = session.db
         hub = session.telemetry
         jobs = session.install_jobs if jobs is None else max(1, int(jobs))
-        result = InstallResult(spec)
 
         with hub.span("install", spec=str(spec.name), jobs=jobs) as span:
             plan = Planner(session).plan(
                 spec, use_cache=use_cache, use_splice=use_splice
             )
-            outcome = Scheduler(session, jobs=jobs, fail_fast=fail_fast).run(
+            result = Scheduler(session, jobs=jobs, fail_fast=fail_fast).run(
                 plan, keep_stage=keep_stage
             )
-            result.built = outcome.built
-            result.reused = outcome.reused
-            result.externals = outcome.externals
-            result.cached = outcome.cached
-            result.spliced = outcome.spliced
-            result.skipped = [t.node for t in outcome.skipped]
-            result.jobs = jobs
-            result.wall_seconds = outcome.wall_seconds
-            error = outcome.first_error
+            error = result.first_error
             if error is not None:
                 raise error
             if db.installed(spec):
@@ -153,8 +110,3 @@ class Installer:
 
             ModuleGenerator(self.session).remove_for_spec(record.spec)
         return record
-
-    # -- compat -------------------------------------------------------------
-    def _build_one(self, node, keep_stage=False):
-        """Deprecated passthrough to the executor (kept for old callers)."""
-        return BuildExecutor(self.session).execute(node, keep_stage=keep_stage)

@@ -178,10 +178,6 @@ class InstallPlan:
         """True when every task reached a terminal state."""
         return all(t.terminal for t in self.tasks.values())
 
-    @property
-    def failed_tasks(self):
-        return self.in_state(FAILED)
-
     # -- transitions driven by the scheduler --------------------------------
     def mark_installed(self, key):
         """Complete a task; return dependents that just became READY."""
@@ -271,8 +267,7 @@ class Planner:
         pull = session.buildcache_pull if use_cache is None else bool(use_cache)
         consult_cache = cache is not None and pull
         splice = (
-            getattr(session, "buildcache_splice", True)
-            if use_splice is None
+            session.buildcache_splice if use_splice is None
             else bool(use_splice)
         )
 

@@ -33,46 +33,33 @@ import time
 from repro.store import plan as _plan
 
 
-class SchedulerOutcome:
-    """What one scheduler drive did, in deterministic (post-order) order."""
+class InstallResult:
+    """What one install did, each list in deterministic (post-order)
+    order: the :class:`~repro.store.executor.BuildStats` of nodes built
+    from source, installed from their own cache entry, or spliced from a
+    runtime-hash twin; the nodes reused or registered as externals; and
+    the tasks that failed or were skipped behind a failure."""
 
     def __init__(self, plan, jobs, wall_seconds):
-        self.plan = plan
+        #: worker-pool width the scheduler ran with
         self.jobs = jobs
         #: wall-clock of the whole scheduler drive (compare with the sum
         #: of per-node ``BuildStats.real_seconds`` to see the overlap)
         self.wall_seconds = wall_seconds
-        self.built = [
-            t.stats
-            for t in plan.ordered_tasks()
-            if t.state == _plan.INSTALLED and t.stats is not None
-            and not t.stats.cache_hit
-        ]
-        #: BuildStats of nodes extracted + relocated from the build cache
-        self.cached = [
-            t.stats
-            for t in plan.ordered_tasks()
-            if t.state == _plan.INSTALLED and t.stats is not None
-            and t.stats.cache_hit and not t.stats.spliced
-        ]
-        #: BuildStats of nodes spliced from a runtime-hash twin's binaries
-        self.spliced = [
-            t.stats
-            for t in plan.ordered_tasks()
-            if t.state == _plan.INSTALLED and t.stats is not None
-            and t.stats.spliced
-        ]
-        self.reused = [
-            t.node
-            for t in plan.ordered_tasks()
-            if t.state == _plan.INSTALLED and t.stats is None
-            and t.action != _plan.EXTERNAL
-        ]
-        self.externals = [
-            t.node
-            for t in plan.ordered_tasks()
-            if t.state == _plan.INSTALLED and t.action == _plan.EXTERNAL
-        ]
+        self.built, self.cached, self.spliced = [], [], []
+        self.reused, self.externals = [], []
+        for task in plan.in_state(_plan.INSTALLED):
+            stats = task.stats
+            if task.action == _plan.EXTERNAL:
+                self.externals.append(task.node)
+            elif stats is None:
+                self.reused.append(task.node)
+            elif stats.spliced:
+                self.spliced.append(stats)
+            elif stats.cache_hit:
+                self.cached.append(stats)
+            else:
+                self.built.append(stats)
         self.failed = plan.in_state(_plan.FAILED)
         self.skipped = plan.in_state(_plan.SKIPPED)
 
@@ -80,6 +67,14 @@ class SchedulerOutcome:
     def first_error(self):
         """The first failure in deterministic order, or None."""
         return self.failed[0].error if self.failed else None
+
+    @property
+    def built_names(self):
+        return [s.spec.name for s in self.built]
+
+    @property
+    def reused_names(self):
+        return [s.name for s in self.reused]
 
 
 class Scheduler:
@@ -95,11 +90,11 @@ class Scheduler:
 
     # -- public -------------------------------------------------------------
     def run(self, plan, keep_stage=False):
-        """Execute every task; returns a :class:`SchedulerOutcome`.
+        """Execute every task; returns an :class:`InstallResult`.
 
         Never raises for build failures — they are recorded on the
         tasks (``state == FAILED``, ``task.error``) and surfaced via the
-        outcome, so the caller decides the error policy.
+        result, so the caller decides the error policy.
         """
         hub = self.session.telemetry
         start = time.perf_counter()
@@ -110,20 +105,20 @@ class Scheduler:
                 self._run_serial(plan, keep_stage)
             else:
                 self._run_pooled(plan, keep_stage)
-            outcome = SchedulerOutcome(
+            result = InstallResult(
                 plan, self.jobs, time.perf_counter() - start
             )
             span.set(
-                built=len(outcome.built),
-                reused=len(outcome.reused),
-                externals=len(outcome.externals),
-                cached=len(outcome.cached),
-                spliced=len(outcome.spliced),
-                failed=len(outcome.failed),
-                skipped=len(outcome.skipped),
-                wall_s=outcome.wall_seconds,
+                built=len(result.built),
+                reused=len(result.reused),
+                externals=len(result.externals),
+                cached=len(result.cached),
+                spliced=len(result.spliced),
+                failed=len(result.failed),
+                skipped=len(result.skipped),
+                wall_s=result.wall_seconds,
             )
-        return outcome
+        return result
 
     # -- serial mode --------------------------------------------------------
     def _run_serial(self, plan, keep_stage):

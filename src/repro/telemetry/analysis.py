@@ -272,14 +272,16 @@ class TraceAnalysis:
         return rollup
 
     # -- concurrency -------------------------------------------------------
-    def concurrency(self, names=("install.node", "install.cached")):
+    def concurrency(self, names=("install.node", "install.cached",
+                                 "install.spliced")):
         """Busy-workers-over-time from overlapping span intervals.
 
-        ``names``: span names counted as "a busy worker" (the two
-        executor entry points by default).  Returns max/average
-        concurrency, total busy seconds, the spanned window, and
-        utilization (busy / (window * max)) — the fraction of the
-        observed worker pool that was actually working.
+        ``names``: span names counted as "a busy worker" (the spans of
+        the executor's source build, cache install and splice by
+        default).  Returns max/average concurrency, total busy seconds,
+        the spanned window, and utilization (busy / (window * max)) —
+        the fraction of the observed worker pool that was actually
+        working.
         """
         names = set(names)
         intervals = [

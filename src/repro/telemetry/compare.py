@@ -30,8 +30,10 @@ from repro.telemetry.metrics import BENCH_SCHEMA, flatten_metrics
 DEFAULT_TOLERANCE = 0.20
 
 #: key fragments marking metrics where *larger* is the good direction
+#: (``rescue`` covers the solver's ``rescue_rate`` and ``rescued``)
 _HIGHER_BETTER = ("speedup", "hit_ratio", "throughput", "utilization",
-                  "hits", "ops_per_s")
+                  "hits", "ops_per_s", "rescue", "proven_optimal",
+                  "provenance_identical")
 
 #: key fragments forcing lower-is-better even when a higher-better
 #: fragment also matches (checked first)

@@ -83,14 +83,6 @@ def dedupe(iterable):
             yield item
 
 
-def union_dicts(*dicts):
-    """Merge dictionaries left-to-right; later keys win."""
-    result = {}
-    for d in dicts:
-        result.update(d)
-    return result
-
-
 class lazy_property:
     """Descriptor computing a value once per instance, then caching it.
 

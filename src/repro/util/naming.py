@@ -49,16 +49,6 @@ def mod_to_class(mod_name):
     return class_name
 
 
-def class_to_mod(class_name):
-    """Best-effort inverse of :func:`mod_to_class` for single-word names.
-
-    Only used for error messages; the repository records the authoritative
-    name → class mapping when it loads package files.
-    """
-    name = re.sub(r"([a-z0-9])([A-Z])", r"\1-\2", class_name).lower()
-    return name.lstrip("_")
-
-
 def pkg_name_to_module_name(pkg_name):
     """File-system module name for a package (``py-numpy`` → ``py_numpy``)."""
     validate_name(pkg_name)

@@ -122,7 +122,7 @@ class TestProviderIndex:
 
 class TestProviderMemo:
     """providers_for memoizes on the virtual spec's DAG key; results are
-    defensive copies and update() invalidates."""
+    defensive copies."""
 
     def test_repeat_queries_are_equal_but_not_shared(self, index):
         first = index.providers_for(Spec("mpi@2:"))
@@ -132,50 +132,15 @@ class TestProviderMemo:
         first[0].variants["mangled"] = True
         assert index.providers_for(Spec("mpi@2:")) == second
 
-    def test_update_invalidates_the_memo(self, index):
-        before = index.providers_for(Spec("mpi@2:"))
-        repo = Repository(namespace="late")
-
-        @repo.register("newmpi")
-        class Newmpi(Package):
-            version("9.0", "x")
-            provides("mpi@3")
-
-        index.update("newmpi", Newmpi)
-        after = index.providers_for(Spec("mpi@2:"))
-        assert "newmpi" in [p.name for p in after]
-        assert len(after) == len(before) + 1
-
-    def test_update_keeps_unrelated_virtual_shards(self, figure5_repo, index):
-        repo = Repository(namespace="late2")
-
-        @repo.register("netlib-blas")
-        class NetlibBlas(Package):
-            version("3.0", "x")
-            provides("blas@1:")
-
-        index.update("netlib-blas", NetlibBlas)
-        index.providers_for(Spec("mpi@2:"))  # prime the mpi shard
-        hits = index.memo_hits
-
-        @repo.register("openblas")
-        class Openblas(Package):
-            version("0.3", "x")
-            provides("blas@2:")
-
-        index.update("openblas", Openblas)  # touches blas, not mpi
-        index.providers_for(Spec("mpi@2:"))
-        assert index.memo_hits == hits + 1
-
     def test_memo_keeps_evicting_past_1024_distinct_specs(self, index):
         """Regression: the memo used a fixed admission cap — after 1024
         distinct virtual specs it stopped memoizing entirely, so every
         later providers_for call was a cold scan (hit-rate pinned to
         zero for the rest of the process).  Bounded LRU eviction keeps
         recent constraints hot no matter how many have been seen."""
-        from repro.repo.providers import MEMO_SHARD_CAP
+        from repro.repo.providers import MEMO_CAP
 
-        total = MEMO_SHARD_CAP + 64
+        total = MEMO_CAP + 64
         for i in range(total):
             index.providers_for(Spec("mpi@:%d.%d" % (i // 10 + 1, i % 10)))
         # re-query the most recent constraints: with LRU these are all
@@ -185,6 +150,10 @@ class TestProviderMemo:
         for i in range(total - 32, total):
             index.providers_for(Spec("mpi@:%d.%d" % (i // 10 + 1, i % 10)))
         assert index.memo_hits - hits_before == 32
-        # and the shard stayed bounded while the hit-rate stayed > 0
-        assert len(index._memo_shards["mpi"]) <= MEMO_SHARD_CAP
+        # and the memo stayed bounded while the hit-rate stayed > 0
+        assert len(index._memo) == MEMO_CAP
+        # the oldest constraint was evicted: asking again is a miss
+        misses = index.memo_misses
+        index.providers_for(Spec("mpi@:1.0"))
+        assert index.memo_misses == misses + 1
         assert index.memo_hits > 0

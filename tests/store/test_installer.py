@@ -149,6 +149,25 @@ class TestStats:
         # one wrapper pass per compile unit + 2 links
         assert mpileaks_stats.counts["wrapper_invocations"] == 43 + 2
 
+    def test_install_returns_the_schedulers_result(self, session,
+                                                   monkeypatch):
+        """One result type: what Session.install returns is the very
+        object Scheduler.run built, not a copy of its fields."""
+        from repro.store.scheduler import Scheduler
+
+        built = []
+        run = Scheduler.run
+
+        def recording_run(self, plan, keep_stage=False):
+            built.append(run(self, plan, keep_stage=keep_stage))
+            return built[-1]
+
+        monkeypatch.setattr(Scheduler, "run", recording_run)
+        _, result = session.install("libdwarf")
+        assert len(built) == 1 and result is built[0]
+        assert result.built_names == ["libelf", "libdwarf"]
+        assert result.failed == [] and result.skipped == []
+
 
 class TestFailureInjection:
     def test_failing_build_cleans_partial_prefix(self, session):

@@ -261,3 +261,141 @@ class TestFallback:
                 _meta(built, node, "manifest.json")["files"]
                 == _meta(puller, spec[node.name], "manifest.json")["files"]
             )
+
+
+#: the two kinds of binary install, by what a fresh session pulls from
+#: the donor session's cache: the donor's own DAG (an exact-hash hit) or
+#: its retooled runtime twin (a splice of the donor's binaries)
+BINARY_KINDS = {
+    "cached": {
+        "request": SPLICE_DONOR_REQUEST,
+        "nodes": ["splicelib", "splicetool", "splicetop"],
+        "phases": {"extract", "relocate", "verify"},
+        "fault": "buildcache.corrupt",
+        "fallback": "buildcache.fallback",
+    },
+    "spliced": {
+        "request": SPLICE_TARGET_REQUEST,
+        "nodes": ["splicelib", "splicetop"],
+        "phases": {"extract", "relocate", "splice", "verify"},
+        "fault": "buildcache.splice_stale",
+        "fallback": "buildcache.splice_fallback",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BINARY_KINDS))
+class TestBinaryInstallObservables:
+    """What each kind of binary install leaves behind.  A splice is an
+    exact hit plus a ``splice`` phase, ``spliced_from`` provenance and a
+    ``donor`` span attribute; nothing else tells the two apart."""
+
+    def _install(self, tmp_path, cache_root, kind, faults=()):
+        hub = Telemetry()
+        sink = MemorySink()
+        hub.add_sink(sink)
+        puller = _puller(tmp_path, cache_root, telemetry=hub)
+        puller.faults.arm(list(faults))
+        try:
+            spec, result = puller.install(BINARY_KINDS[kind]["request"],
+                                          jobs=1)
+        finally:
+            puller.faults.disarm()
+        return puller, spec, result, hub, sink
+
+    def test_phases_and_provenance(self, tmp_path, cache_root,
+                                   donor_session, kind):
+        puller, spec, result, _, sink = self._install(
+            tmp_path, cache_root, kind
+        )
+        donor = donor_session.concretize(SPLICE_DONOR_REQUEST)
+        installed = getattr(result, kind)
+        assert sorted(s.spec.name for s in installed) == (
+            BINARY_KINDS[kind]["nodes"]
+        )
+        for stats in installed:
+            node = spec[stats.spec.name]
+            assert stats.cache_hit
+            assert stats.spliced == (kind == "spliced")
+            timing = _meta(puller, node, "timing.json")
+            assert set(timing["phases"]) == BINARY_KINDS[kind]["phases"]
+            for name in ("manifest.json", "binary_distribution.json"):
+                record = _meta(puller, node, name)
+                assert record["hash"] == node.dag_hash()
+                if kind == "spliced":
+                    assert record["spliced_from"] == donor[node.name].dag_hash()
+                else:
+                    assert "spliced_from" not in record
+        spliced_spans = sorted(
+            s["attrs"]["package"] for s in sink.spans("install.phase.splice")
+        )
+        assert spliced_spans == (
+            ["splicelib", "splicetop"] if kind == "spliced" else []
+        )
+
+    def test_span_attributes_and_counters(self, tmp_path, cache_root,
+                                          donor_session, kind):
+        puller, spec, _, hub, sink = self._install(
+            tmp_path, cache_root, kind
+        )
+        donor = donor_session.concretize(SPLICE_DONOR_REQUEST)
+        other = "install.cached" if kind == "spliced" else "install.spliced"
+        assert sink.spans(other) == []
+        spans = {
+            s["attrs"]["package"]: s["attrs"]
+            for s in sink.spans("install." + kind)
+        }
+        assert sorted(spans) == BINARY_KINDS[kind]["nodes"]
+        for name, attrs in spans.items():
+            donor_hash = donor[name].dag_hash()
+            expected = {"package", "version", "worker", "files", "relocated",
+                        "digest"}
+            if kind == "spliced":
+                expected.add("donor")
+                assert attrs["donor"] == donor_hash[:8]
+            assert set(attrs) == expected
+            assert attrs["version"] == str(spec[name].version)
+            assert attrs["worker"] == "MainThread"
+            assert attrs["files"] > 0
+            digest = puller.buildcache.lookup(donor_hash)["digest"]
+            assert attrs["digest"] == digest[:12]
+        assert hub.counter("buildcache.relocations") == len(spans)
+        assert hub.counter("buildcache.relocated_files") == sum(
+            attrs["relocated"] for attrs in spans.values()
+        )
+        spliced_files = hub.counter("buildcache.spliced_files")
+        assert (spliced_files > 0) == (kind == "spliced")
+        assert hub.counter("install." + kind) == len(spans)
+
+    def test_bad_payload_falls_back_to_a_source_build(
+        self, tmp_path, cache_root, donor_session, kind
+    ):
+        case = BINARY_KINDS[kind]
+        puller, spec, result, hub, sink = self._install(
+            tmp_path, cache_root, kind,
+            faults=[Fault(case["fault"], target="splicelib")],
+        )
+        assert puller.faults.injection_counts() == {case["fault"]: 1}
+        assert "splicelib" in [s.spec.name for s in result.built]
+        assert "splicelib" not in [s.spec.name for s in getattr(result, kind)]
+        assert "splicetop" in [s.spec.name for s in getattr(result, kind)]
+        built_spans = {
+            s["attrs"]["package"] for s in sink.spans("install.phase.build")
+        }
+        assert "splicelib" in built_spans
+        for fallback in ("buildcache.fallback", "buildcache.splice_fallback"):
+            assert hub.counter(fallback) == (fallback == case["fallback"])
+        expected = {
+            "package": "splicelib",
+            "hash": spec["splicelib"].dag_hash(8),
+            "error": "DigestMismatchError",
+        }
+        if kind == "spliced":
+            donor = donor_session.concretize(SPLICE_DONOR_REQUEST)
+            expected["donor"] = donor["splicelib"].dag_hash()[:8]
+        assert [e["attrs"] for e in sink.events(case["fallback"])] == [
+            expected
+        ]
+        from repro.store.verify import verify_store
+
+        assert verify_store(puller) == []

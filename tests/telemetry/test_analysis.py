@@ -189,6 +189,20 @@ class TestRollupsAndConcurrency:
         assert conc["avg_concurrency"] == pytest.approx(1.0)
         assert conc["utilization"] == pytest.approx(0.5)
 
+    def test_concurrency_counts_splicing_workers(self):
+        """A splice keeps a worker as busy as a build: a source build
+        overlapping a splice is two busy workers, not one."""
+        records = (
+            _span(1, "install.node", 0.0, 4.0)
+            + _span(2, "install.spliced", 2.0, 6.0)
+            + _span(3, "install.cached", 6.0, 8.0)
+        )
+        conc = TraceAnalysis(records).concurrency()
+        assert conc["spans"] == 3
+        assert conc["max_concurrency"] == 2
+        assert conc["busy_seconds"] == pytest.approx(10.0)
+        assert conc["utilization"] == pytest.approx(10.0 / (8.0 * 2))
+
     def test_concurrency_empty_stream(self):
         conc = TraceAnalysis([]).concurrency()
         assert conc["spans"] == 0

@@ -116,6 +116,8 @@ class TestDirections:
             "warm_speedup_1k", "warm_speedup_5k", "warm_speedup_10k",
             "throughput_rps",
             "speedup_spliced_vs_cold", "splice_hits",
+            "rescue_rate", "rescued", "proven_optimal_rate",
+            "provenance_identical",
         }
         results = os.path.join(os.path.dirname(__file__), "..", "..",
                                "benchmarks", "results")
