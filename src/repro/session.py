@@ -115,7 +115,14 @@ class Session:
         #: default worker-pool width for installs (`install -j N`);
         #: $REPRO_INSTALL_JOBS overrides the 1-worker (sequential) default
         if install_jobs is None:
-            install_jobs = os.environ.get("REPRO_INSTALL_JOBS", 1)
+            install_jobs = os.environ.get("REPRO_INSTALL_JOBS", "1")
+            try:
+                install_jobs = int(install_jobs)
+            except ValueError:
+                raise ReproError(
+                    "REPRO_INSTALL_JOBS must be a number of workers, not %r"
+                    % install_jobs
+                ) from None
         self.install_jobs = max(1, int(install_jobs))
         self.policy = policy or DefaultPolicy(self.config)
         self.cost_model = cost_model or CostModel()

@@ -47,9 +47,6 @@ _TRANSITIONS = {
     SKIPPED: set(),
 }
 
-#: states a task can never leave
-TERMINAL_STATES = frozenset((INSTALLED, FAILED, SKIPPED))
-
 # -- actions ----------------------------------------------------------------
 
 #: fetch + stage + build into a fresh prefix
@@ -72,12 +69,11 @@ class NodeTask:
     """One DAG node's unit of schedulable work."""
 
     __slots__ = (
-        "node", "key", "action", "index", "level", "is_root",
-        "state", "deps", "dependents", "error", "stats", "worker",
-        "donor",
+        "node", "key", "action", "index", "level", "state", "deps",
+        "dependents", "error", "stats", "donor",
     )
 
-    def __init__(self, node, action, index, is_root=False, donor=None):
+    def __init__(self, node, action, index, donor=None):
         self.node = node
         self.key = node.dag_hash()
         self.action = action
@@ -88,7 +84,6 @@ class NodeTask:
         self.index = index
         #: topological level: 0 for leaves, 1 + max(dep levels) otherwise
         self.level = 0
-        self.is_root = is_root
         self.state = WAITING
         #: DAG hashes of direct dependencies (within this plan)
         self.deps = set()
@@ -98,8 +93,6 @@ class NodeTask:
         self.error = None
         #: BuildStats when the executor built this node
         self.stats = None
-        #: name of the worker thread that executed this task
-        self.worker = None
 
     def to(self, new_state):
         """Transition, enforcing the state machine's legality."""
@@ -110,10 +103,6 @@ class NodeTask:
             )
         self.state = new_state
         return self
-
-    @property
-    def terminal(self):
-        return self.state in TERMINAL_STATES
 
     def __repr__(self):
         return "NodeTask(%s, %s, %s)" % (self.node.name, self.action, self.state)
@@ -172,11 +161,6 @@ class InstallPlan:
         for task in self.ordered_tasks():
             by_level.setdefault(task.level, []).append(task.key)
         return [by_level[lvl] for lvl in sorted(by_level)]
-
-    @property
-    def done(self):
-        """True when every task reached a terminal state."""
-        return all(t.terminal for t in self.tasks.values())
 
     # -- transitions driven by the scheduler --------------------------------
     def mark_installed(self, key):
@@ -298,12 +282,7 @@ class Planner:
                         action = BUILD
                     if consult_cache:
                         hub.count("buildcache.miss")
-                plan._add_task(
-                    NodeTask(
-                        node, action, index,
-                        is_root=(node is spec), donor=donor,
-                    )
-                )
+                plan._add_task(NodeTask(node, action, index, donor=donor))
             plan._wire_edges()
             plan.seed_ready()
             span.set(

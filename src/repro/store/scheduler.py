@@ -1,36 +1,49 @@
-"""The install scheduler: READY tasks onto a bounded worker pool.
+"""The install scheduler: READY tasks onto at most ``jobs`` workers.
 
 Middle layer of the planner/scheduler/executor stack.  The scheduler
-owns the plan's state transitions: it dispatches READY tasks (lowest
-post-order index first) to at most ``jobs`` workers, completes them as
-their builds finish, and propagates failure by SKIPPING transitive
-dependents while disjoint sub-DAGs keep building.  ``--fail-fast``
-tightens that to "stop dispatching anything new after the first
-failure".
+owns the plan's state transitions.  One loop drives every width: it
+dispatches READY tasks (lowest post-order index first) until ``jobs``
+are in flight, waits for the first to finish, and drains the finished
+batch in post-order.  ``jobs`` decides only where a task's call runs:
+on the scheduler thread at ``jobs == 1`` (exactly the old recursive
+installer's order, and no thread started), on a ``ThreadPoolExecutor``
+above that.  Workers only ever run the session-safe executor; state
+transitions, database registration and module generation happen on the
+scheduler thread.
 
-Two execution modes, one state machine:
-
-* ``jobs == 1`` — fully deterministic in-thread loop, no pool.  Tasks
-  run in exactly the old recursive installer's post-order; tests and
-  reproducible runs get bit-stable behavior.
-* ``jobs > 1`` — a ``ThreadPoolExecutor``.  Completions are handled on
-  the scheduler thread (database registration, module generation, state
-  transitions), so workers only ever run the session-safe executor.
-  Finished builds are registered in **write-batched** database
-  transactions: one index read-merge-write per drain of completions
-  rather than per node.  Build-cache pushes and module files follow
-  once the drain's transaction has committed, as in serial mode.
+Failure propagates by SKIPPING transitive dependents while disjoint
+sub-DAGs keep building; ``--fail-fast`` stops dispatching anything new
+after the first failure.  A kill (a ``BaseException`` that is not an
+``Exception``, such as ``SimulatedKill`` or ``KeyboardInterrupt``) is
+no build failure: it ends the drive at every width, and nothing still
+in flight when it lands is registered.
 
 Telemetry: a ``scheduler.run`` span wraps the whole drive; the
-``scheduler.queue_depth`` gauge tracks the READY backlog at every
-dispatch; per-task ``scheduler.dispatch`` events carry worker
-attribution; ``install.built/cached/spliced/reused/external/failed/skipped`` counters
+``scheduler.queue_depth`` gauge tracks the READY backlog after every
+dispatch; a ``scheduler.dispatch`` event marks each task's dispatch;
+``install.built/cached/spliced/reused/external/failed/skipped`` counters
 aggregate outcomes.
 """
 
+import contextlib
 import time
 
 from repro.store import plan as _plan
+
+
+def _call_here(fn, *args):
+    """Run ``fn(*args)`` on this thread and return its outcome as a
+    finished future: the one-task-at-a-time stand-in for a pool's
+    ``submit``.  Only an ``Exception`` is kept on the future, as a
+    failure; a kill passes straight through."""
+    import concurrent.futures
+
+    future = concurrent.futures.Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as e:  # noqa: BLE001 — recorded, as a pool records it
+        future.set_exception(e)
+    return future
 
 
 class InstallResult:
@@ -94,17 +107,25 @@ class Scheduler:
 
         Never raises for build failures — they are recorded on the
         tasks (``state == FAILED``, ``task.error``) and surfaced via the
-        result, so the caller decides the error policy.
+        result, so the caller decides the error policy.  A kill is
+        re-raised: see the module docstring.
         """
+        # imported here, not at module level: it pulls in ``logging``,
+        # which a process that never installs should not pay for
+        import concurrent.futures
+
         hub = self.session.telemetry
         start = time.perf_counter()
         with hub.span(
             "scheduler.run", spec=str(plan.spec.name), jobs=self.jobs
         ) as span:
             if self.jobs == 1:
-                self._run_serial(plan, keep_stage)
+                self._drive(plan, keep_stage, _call_here)
             else:
-                self._run_pooled(plan, keep_stage)
+                with concurrent.futures.ThreadPoolExecutor(
+                    max_workers=self.jobs, thread_name_prefix="install-worker"
+                ) as pool:
+                    self._drive(plan, keep_stage, pool.submit)
             result = InstallResult(
                 plan, self.jobs, time.perf_counter() - start
             )
@@ -120,106 +141,85 @@ class Scheduler:
             )
         return result
 
-    # -- serial mode --------------------------------------------------------
-    def _run_serial(self, plan, keep_stage):
-        hub = self.session.telemetry
-        while True:
-            ready = plan.ready_tasks()
-            if not ready:
-                break
-            hub.gauge("scheduler.queue_depth", len(ready))
-            task = ready[0]
-            task.to(_plan.BUILDING)
-            hub.event(
-                "scheduler.dispatch", package=task.node.name, worker="main"
-            )
-            try:
-                stats = self._execute(task, keep_stage)
-            except Exception as e:  # noqa: BLE001 — policy decided upstream
-                self._complete_failure(plan, task, e)
-                if self.fail_fast:
-                    plan.skip_pending()
-                    break
-                continue
-            self._register(task, stats)
-            self._publish(plan, task)
-
-    # -- pooled mode --------------------------------------------------------
-    def _run_pooled(self, plan, keep_stage):
+    # -- the drive loop -----------------------------------------------------
+    def _drive(self, plan, keep_stage, submit):
+        """Dispatch until ``jobs`` tasks are in flight, wait for the
+        first to finish, drain what finished; until nothing is left.
+        ``submit(fn, *args)`` runs one call and returns its future."""
         import concurrent.futures
 
         hub = self.session.telemetry
-        stop_dispatch = False
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.jobs, thread_name_prefix="install-worker"
-        ) as pool:
-            in_flight = {}
-
-            def dispatch():
+        in_flight = {}
+        stopped = False
+        while True:
+            if not stopped:
                 # captured on the scheduler thread, inside the live
-                # ``scheduler.run`` span: every worker's spans join THIS
-                # trace instead of starting orphaned per-thread ones
+                # ``scheduler.run`` span: every task's spans join THIS
+                # trace, whichever thread runs it
                 context = hub.capture()
-                for task in plan.ready_tasks():
-                    if len(in_flight) >= self.jobs:
-                        break
+                for task in plan.ready_tasks()[: self.jobs - len(in_flight)]:
                     task.to(_plan.BUILDING)
                     hub.event("scheduler.dispatch", package=task.node.name)
-                    in_flight[
-                        pool.submit(self._execute, task, keep_stage, context)
-                    ] = task
+                    future = submit(self._execute, task, keep_stage, context)
+                    in_flight[future] = task
                 hub.gauge("scheduler.queue_depth", len(plan.ready_tasks()))
+            if not in_flight:
+                break
+            finished, _ = concurrent.futures.wait(
+                in_flight, return_when=concurrent.futures.FIRST_COMPLETED
+            )
+            batch = sorted(
+                ((in_flight.pop(f), f) for f in finished),
+                key=lambda pair: pair[0].index,
+            )
+            if self._drain(plan, batch) and self.fail_fast:
+                stopped = True  # drain in-flight; dispatch nothing new
+        if stopped:
+            plan.skip_pending()
 
-            dispatch()
-            while in_flight:
-                finished, _ = concurrent.futures.wait(
-                    in_flight, return_when=concurrent.futures.FIRST_COMPLETED
-                )
-                # Deterministic completion handling: drain the whole batch
-                # in post-order, registering successes in ONE database
-                # transaction (write batching under the index lock), then
-                # pushing and writing modules once it has committed, so
-                # the lock is not held while tarballs are packed.
-                batch = sorted(
-                    ((in_flight.pop(f), f) for f in finished),
-                    key=lambda pair: pair[0].index,
-                )
-                successes = [
-                    (task, f) for task, f in batch if f.exception() is None
-                ]
-                if successes:
-                    with self.session.db.transaction():
-                        for task, f in successes:
-                            self._register(task, f.result())
-                    for task, _ in successes:
-                        self._publish(plan, task)
-                for task, f in batch:
-                    if f.exception() is not None:
-                        self._complete_failure(plan, task, f.exception())
-                        if self.fail_fast:
-                            stop_dispatch = True
-                if stop_dispatch:
-                    continue  # drain in-flight; dispatch nothing new
-                dispatch()
-            if stop_dispatch:
-                plan.skip_pending()
+    def _drain(self, plan, batch):
+        """Complete finished ``(task, future)`` pairs in post-order;
+        returns True when one failed.  A kill is re-raised before
+        anything is registered.  Otherwise the successes are registered,
+        then pushed and given module files once their records have
+        committed (so the index lock is not held while tarballs are
+        packed), then the failures are handled."""
+        successes, failures = [], []
+        for task, future in batch:
+            error = future.exception()
+            if error is None:
+                successes.append((task, future.result()))
+            elif isinstance(error, Exception):
+                failures.append((task, error))
+            else:
+                raise error
+        db, hub = self.session.db, self.session.telemetry
+        outcomes = [self._outcome(task, stats) for task, stats in successes]
+        # one index read-merge-write for the batch: ``db.add`` opens its
+        # own transaction for a lone record, and reused nodes need none
+        adds = sum(prefix is not None for _, prefix in outcomes)
+        with db.transaction() if adds > 1 else contextlib.nullcontext():
+            for (task, stats), (counter, prefix) in zip(successes, outcomes):
+                task.stats = stats
+                if prefix is not None:
+                    db.add(task.node, prefix, explicit=False)
+                hub.count(counter)
+        for task, _ in successes:
+            self._publish(plan, task)
+        for task, error in failures:
+            self._complete_failure(plan, task, error)
+        return bool(failures)
 
     # -- task execution (worker side) ---------------------------------------
-    def _execute(self, task, keep_stage, context=None):
+    def _execute(self, task, keep_stage, context):
         """Run one task's action; returns BuildStats or None (trivial).
 
-        ``context`` is the scheduler thread's :class:`TraceContext` at
-        dispatch time; adopting it parents this worker's spans into the
-        install trace (serial mode runs on the scheduler thread, where
-        the ``scheduler.run`` span is already current — no adoption).
+        Runs on a pool worker, or on the scheduler thread at
+        ``jobs == 1``.  ``context`` is the scheduler thread's
+        :class:`TraceContext` at dispatch time; adopting it parents the
+        task's spans to ``scheduler.run`` on either thread.
         """
-        import threading
-
-        task.worker = threading.current_thread().name
-        hub = self.session.telemetry
-        if hub.current_span() is not None:
-            context = None
-        with hub.adopt(context):
+        with self.session.telemetry.adopt(context):
             if task.action == _plan.BUILD:
                 return self.executor.execute(task.node, keep_stage=keep_stage)
             if task.action == _plan.CACHED:
@@ -233,27 +233,22 @@ class Scheduler:
             return None  # REUSE and EXTERNAL are pure bookkeeping
 
     # -- completion handling (scheduler side) -------------------------------
-    def _register(self, task, stats):
-        """Record a finished task in the database and count its outcome."""
-        db = self.session.db
-        hub = self.session.telemetry
+    def _outcome(self, task, stats):
+        """``(counter, prefix)`` for a finished task: the ``install.*``
+        counter its outcome bumps, and the prefix of the database record
+        it adds, or None when it adds none."""
         node = task.node
         if task.action == _plan.EXTERNAL:
-            if not db.installed(node):
-                db.add(node, node.external, explicit=False)
-            hub.count("install.external")
-        elif task.action == _plan.REUSE or stats is None:
+            registered = self.session.db.installed(node)
+            return "install.external", None if registered else node.external
+        if task.action == _plan.REUSE or stats is None:
             # planned reuse, or another session won the prefix lock race
-            hub.count("install.reused")
-        else:
-            task.stats = stats
-            db.add(node, node.prefix, explicit=False)
-            if stats.spliced:
-                hub.count("install.spliced")
-            elif stats.cache_hit:
-                hub.count("install.cached")
-            else:
-                hub.count("install.built")
+            return "install.reused", None
+        if stats.spliced:
+            return "install.spliced", node.prefix
+        if stats.cache_hit:
+            return "install.cached", node.prefix
+        return "install.built", node.prefix
 
     def _publish(self, plan, task):
         """Push a new prefix to the build cache and write its modules

@@ -288,18 +288,17 @@ class CampaignReport:
 
 # -- phase 1: oracle + invariants sweep --------------------------------------
 
-def _oracle_fixture(config):
-    """(repo, provider_index, compilers, cfg) for the generated universe."""
+def _generated_universe(config, label, **knobs):
+    """(repo, compilers, cfg) for a universe that ``RepoGenerator``
+    builds from the seed derived for ``label`` and the generator
+    ``knobs``: every :data:`GEN_COMPILERS` entry registered, the first
+    preferred, on ``linux-x86_64``."""
     from repro.compilers.registry import Compiler, CompilerRegistry
     from repro.config.config import Config
-    from repro.repo.providers import ProviderIndex
 
     repo = RepoGenerator(
-        derive_seed(config.seed, "repo"),
-        count=config.packages,
-        virtuals=config.virtuals,
+        derive_seed(config.seed, label), count=config.packages, **knobs
     ).build()
-    provider_index = ProviderIndex.from_repo(repo)
     registry = CompilerRegistry(
         Compiler(*cs.split("@")) for cs in GEN_COMPILERS
     )
@@ -313,11 +312,16 @@ def _oracle_fixture(config):
             }
         },
     )
-    return repo, provider_index, registry, cfg
+    return repo, registry, cfg
 
 
 def run_oracle_phase(config, report, log=None):
-    repo, provider_index, compilers, cfg = _oracle_fixture(config)
+    from repro.repo.providers import ProviderIndex
+
+    repo, compilers, cfg = _generated_universe(
+        config, "repo", virtuals=config.virtuals
+    )
+    provider_index = ProviderIndex.from_repo(repo)
     oracle = DifferentialOracle(
         repo, provider_index, compilers, cfg, max_attempts=config.max_attempts
     )
@@ -562,7 +566,9 @@ def run_cache_phase(config, report, workdir, log=None):
     from repro.spec.spec import Spec
     from repro.testing.faults import CONCRETIZE_CACHE_CORRUPT, Fault
 
-    repo, _provider_index, compilers, cfg = _oracle_fixture(config)
+    repo, compilers, cfg = _generated_universe(
+        config, "repo", virtuals=config.virtuals
+    )
     session = Session(
         os.path.join(workdir, "cache-phase"), repo, config=cfg,
         compilers=compilers,
@@ -739,39 +745,6 @@ def run_splice_phase(config, report, workdir, log=None):
 
 # -- phase 5: solver sweep ----------------------------------------------------
 
-def _solver_fixture(config):
-    """Like :func:`_oracle_fixture` but conflict-rich: the generator's
-    dead-end knobs are turned up so greedy demonstrably fails on part of
-    the stream and the solver's rescues are exercised for real."""
-    from repro.compilers.registry import Compiler, CompilerRegistry
-    from repro.config.config import Config
-    from repro.repo.providers import ProviderIndex
-
-    repo = RepoGenerator(
-        derive_seed(config.seed, "solver-repo"),
-        count=config.packages,
-        virtuals=max(3, config.virtuals),
-        conflict_density=1.0,
-        when_depth=3,
-        provider_overlap=0.8,
-    ).build()
-    provider_index = ProviderIndex.from_repo(repo)
-    registry = CompilerRegistry(
-        Compiler(*cs.split("@")) for cs in GEN_COMPILERS
-    )
-    cfg = Config()
-    cfg.update(
-        "defaults",
-        {
-            "preferences": {
-                "compiler_order": [GEN_COMPILERS[0]],
-                "architecture": "linux-x86_64",
-            }
-        },
-    )
-    return repo, provider_index, registry, cfg
-
-
 def run_solver_phase(config, report, workdir, log=None):
     """Greedy-vs-solver differential sweep over the conflict-rich
     universe.
@@ -782,11 +755,23 @@ def run_solver_phase(config, report, workdir, log=None):
     ``concretize.cache.corrupt`` fault — the fallback must both fire
     (the fault injects) and reproduce the oracle's solver answer.
     """
+    from repro.repo.providers import ProviderIndex
     from repro.session import Session
     from repro.spec.spec import Spec
     from repro.testing.faults import CONCRETIZE_CACHE_CORRUPT, Fault
 
-    repo, provider_index, compilers, cfg = _solver_fixture(config)
+    # conflict-rich: the generator's dead-end knobs are turned up so
+    # greedy demonstrably fails on part of the stream and the solver's
+    # rescues are exercised for real
+    repo, compilers, cfg = _generated_universe(
+        config,
+        "solver-repo",
+        virtuals=max(3, config.virtuals),
+        conflict_density=1.0,
+        when_depth=3,
+        provider_overlap=0.8,
+    )
+    provider_index = ProviderIndex.from_repo(repo)
     oracle = DifferentialOracle(
         repo, provider_index, compilers, cfg, max_attempts=config.max_attempts
     )
@@ -858,40 +843,6 @@ def run_solver_phase(config, report, workdir, log=None):
 
 # -- phase 6: environment-unification sweep -----------------------------------
 
-def _env_fixture(config):
-    """A *prefixed*, hub-biased universe for environment cases.
-
-    ``name_prefix`` keeps generated names out of the builtin corpus's
-    namespace (the collision bug this PR fixes); ``hub_bias`` funnels
-    dependency edges through a few hub packages so random root sets
-    genuinely share sub-DAGs — the thing unification is for.
-    """
-    from repro.compilers.registry import Compiler, CompilerRegistry
-    from repro.config.config import Config
-
-    repo = RepoGenerator(
-        derive_seed(config.seed, "env-repo"),
-        count=config.packages,
-        virtuals=config.virtuals,
-        name_prefix="env",
-        hub_bias=0.6,
-    ).build()
-    registry = CompilerRegistry(
-        Compiler(*cs.split("@")) for cs in GEN_COMPILERS
-    )
-    cfg = Config()
-    cfg.update(
-        "defaults",
-        {
-            "preferences": {
-                "compiler_order": [GEN_COMPILERS[0]],
-                "architecture": "linux-x86_64",
-            }
-        },
-    )
-    return repo, registry, cfg
-
-
 def _env_coherence(unified):
     """Violation strings when a unified environment is *not* coherent:
     every shared package must be one node, every virtual one provider."""
@@ -933,7 +884,17 @@ def run_env_phase(config, report, workdir, log=None):
     from repro.errors import ReproError
     from repro.session import Session
 
-    repo, compilers, cfg = _env_fixture(config)
+    # a *prefixed*, hub-biased universe: ``name_prefix`` keeps generated
+    # names out of the builtin corpus's namespace, and ``hub_bias``
+    # funnels dependency edges through a few hub packages so random root
+    # sets genuinely share sub-DAGs — the thing unification is for
+    repo, compilers, cfg = _generated_universe(
+        config,
+        "env-repo",
+        virtuals=config.virtuals,
+        name_prefix="env",
+        hub_bias=0.6,
+    )
     session = Session(
         os.path.join(workdir, "env-phase"), repo, config=cfg,
         compilers=compilers,

@@ -25,20 +25,23 @@ def session(tmp_path):
     return Session.create(str(tmp_path / "universe"), install_jobs=1)
 
 
-def _crash(session, target, where):
-    """Install ``target`` with a kill injected at ``where``; returns the
-    concrete spec whose build died."""
+def _crash(session, target, where, jobs):
+    """Install ``target`` on ``jobs`` workers with a kill injected at
+    ``where``; returns the concrete spec whose build died."""
     session.faults.arm([Fault("executor.crash", target=target, where=where)])
     with pytest.raises(SimulatedKill):
-        session.install(target, jobs=1)
+        session.install(target, jobs=jobs)
     session.faults.disarm()
     return session.concretize(target)
 
 
 class TestCrashRecovery:
+    #: worker-pool width of every install here
+    jobs = 1
+
     @pytest.mark.parametrize("where", ["post-stage", "post-build"])
     def test_crash_leaves_orphan_prefix_and_no_record(self, session, where):
-        concrete = _crash(session, "libelf", where)
+        concrete = _crash(session, "libelf", where, self.jobs)
         prefix = session.store.layout.path_for_spec(concrete)
         assert os.path.isdir(prefix)
         assert not session.db.query("libelf")
@@ -46,21 +49,21 @@ class TestCrashRecovery:
     def test_planner_reclassifies_orphan_as_build(self, session):
         """An orphan prefix must not fool the planner into reuse: only a
         database record proves an install completed."""
-        concrete = _crash(session, "libelf", "post-build")
+        concrete = _crash(session, "libelf", "post-build", self.jobs)
         plan = Planner(session).plan(concrete)
         task = plan.tasks[concrete.dag_hash()]
         assert task.action == BUILD
 
     def test_crash_in_dependency_aborts_dependents(self, session):
         """Killing libdwarf's dependency leaves the dependent unbuilt."""
-        _crash(session, "libelf", "post-stage")
+        _crash(session, "libelf", "post-stage", self.jobs)
         assert not session.db.query("libelf")
         assert not session.db.query("libdwarf")
 
     @pytest.mark.parametrize("where", ["post-stage", "post-build"])
     def test_fresh_install_heals_the_store(self, session, where):
-        concrete = _crash(session, "libdwarf", where)
-        spec, _ = session.install("libdwarf", jobs=1)
+        concrete = _crash(session, "libdwarf", where, self.jobs)
+        spec, _ = session.install("libdwarf", jobs=self.jobs)
         assert spec.dag_hash() == concrete.dag_hash()
         assert session.db.query("libdwarf")
         assert verify_store(session) == []
@@ -72,23 +75,29 @@ class TestCrashRecovery:
         from repro.telemetry import MemorySink
 
         session.telemetry.add_sink(MemorySink())
-        _crash(session, "libelf", "post-build")
-        session.install("libelf", jobs=1)
+        _crash(session, "libelf", "post-build", self.jobs)
+        session.install("libelf", jobs=self.jobs)
         assert session.telemetry.counter("store.orphan_prefixes_healed") == 1
         # a clean re-install has nothing to heal
-        session.install("libelf", jobs=1)
+        session.install("libelf", jobs=self.jobs)
         assert session.telemetry.counter("store.orphan_prefixes_healed") == 1
 
     def test_crash_spares_completed_dependencies(self, session):
         """Only the killed node needs rebuilding; its already-registered
         dependencies are reused."""
-        _crash(session, "libdwarf", "post-build")
+        _crash(session, "libdwarf", "post-build", self.jobs)
         assert session.db.query("libelf")  # dep finished before the kill
         concrete = session.concretize("libdwarf")
         plan = Planner(session).plan(concrete)
         actions = {t.node.name: t.action for t in plan.tasks.values()}
         assert actions["libdwarf"] == BUILD
         assert actions["libelf"] != BUILD
+
+
+class TestCrashRecoveryPooled(TestCrashRecovery):
+    """The same contract when the kill lands in a four-worker pool."""
+
+    jobs = 4
 
 
 class TestFaultedParallelEquivalence:

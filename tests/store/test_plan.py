@@ -66,11 +66,6 @@ class TestOrderingAndLevels:
             for dep in task.deps:
                 assert plan.tasks[dep].level < task.level
 
-    def test_root_flagged(self, session):
-        concrete, plan = _plan_for(session)
-        roots = [t for t in plan.ordered_tasks() if t.is_root]
-        assert [t.key for t in roots] == [concrete.dag_hash()]
-
 
 class TestStateMachine:
     def test_seeded_ready_is_exactly_the_leaves(self, session):
@@ -125,11 +120,3 @@ class TestStateMachine:
         plan.skip_pending()
         for t in plan.ordered_tasks():
             assert t.state in (P.BUILDING, P.SKIPPED)
-        assert not plan.done  # BUILDING is not terminal
-
-    def test_done_when_all_terminal(self, session):
-        _, plan = _plan_for(session, "libelf")
-        (task,) = plan.ordered_tasks()
-        task.to(P.BUILDING)
-        plan.mark_installed(task.key)
-        assert plan.done

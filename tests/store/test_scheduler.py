@@ -14,6 +14,8 @@ from repro.store.installer import InstallError
 from repro.store.layout import METADATA_DIR
 from repro.store.plan import Planner
 from repro.store.scheduler import Scheduler
+from repro.telemetry import MemorySink
+from repro.testing.faults import SimulatedKill
 
 
 def _register(session, name, deps=()):
@@ -61,6 +63,24 @@ class RecordingExecutor(BuildExecutor):
         finally:
             with self._lock:
                 self.events.append(("end", node.name))
+
+
+class KillingExecutor(BuildExecutor):
+    """Executor whose process 'dies' building ``leaf``.  ``solo`` starts
+    building only once the kill is under way, so with a pool it is in
+    flight when the kill lands."""
+
+    def __init__(self, session):
+        super().__init__(session)
+        self.leaf_killed = threading.Event()
+
+    def execute(self, node, keep_stage=False):
+        if node.name == "leaf":
+            self.leaf_killed.set()
+            raise SimulatedKill("executor.crash", "leaf")
+        if node.name == "solo":
+            assert self.leaf_killed.wait(timeout=30)
+        return super().execute(node, keep_stage=keep_stage)
 
 
 def _run(session, spec_text, jobs, **kwargs):
@@ -169,6 +189,27 @@ class TestFailurePropagation:
         assert not session.db.installed(concrete)
 
 
+class TestKill:
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_kill_ends_the_drive_at_every_width(self, bare_repo_session, jobs):
+        """A kill is not a failed build: it leaves the scheduler at once,
+        and nothing that finishes around it is registered."""
+        session = bare_repo_session
+        _diamond(session)
+        sink = session.telemetry.add_sink(MemorySink())
+        plan = Planner(session).plan(session.concretize("top"))
+        scheduler = Scheduler(
+            session, jobs=jobs, executor=KillingExecutor(session)
+        )
+        with pytest.raises(SimulatedKill):
+            scheduler.run(plan)
+        assert session.db.all_records() == []
+        assert session.telemetry.counter("install.failed") == 0
+        assert not [
+            e for e in sink.events() if e["name"] == "scheduler.task_failed"
+        ]
+
+
 class TestParallelEquivalence:
     def _provenance(self, session):
         """dag_hash -> canonical spec.json bytes for every installed spec."""
@@ -208,6 +249,14 @@ class TestParallelEquivalence:
         _, result = session.install("libelf")
         assert result.jobs == 3
 
+    def test_malformed_jobs_env_is_a_typed_error(self, tmp_path, monkeypatch):
+        from repro.errors import ReproError
+        from repro.session import Session
+
+        monkeypatch.setenv("REPRO_INSTALL_JOBS", "auto")
+        with pytest.raises(ReproError, match="REPRO_INSTALL_JOBS.*'auto'"):
+            Session.create(str(tmp_path / "env"))
+
 
 class TestBatchCommit:
     def test_pushes_run_after_the_batch_commits(self, tmp_path, monkeypatch):
@@ -232,11 +281,33 @@ class TestBatchCommit:
         assert len(during_push) == len(result.built) == 6
         assert set(during_push) == {(0, False)}
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_only_a_drain_that_adds_a_record_opens_a_transaction(
+        self, session, monkeypatch, jobs
+    ):
+        """Reusing libelf adds no record, so only libdwarf's drain takes
+        the index lock and re-reads the index."""
+        from repro.store.database import Database
+
+        session.install("libelf", jobs=jobs)
+        plan = Planner(session).plan(session.concretize("libdwarf"))
+        outermost = []
+        real_transaction = Database.transaction
+
+        def transaction(db):
+            if db._txn_depth == 0:
+                outermost.append(db)
+            return real_transaction(db)
+
+        monkeypatch.setattr(Database, "transaction", transaction)
+        result = Scheduler(session, jobs=jobs).run(plan)
+        assert result.reused_names == ["libelf"]
+        assert result.built_names == ["libdwarf"]
+        assert len(outermost) == 1
+
 
 class TestSchedulerTelemetry:
     def test_spans_gauge_and_worker_attribution(self, session):
-        from repro.telemetry import MemorySink
-
         sink = session.telemetry.add_sink(MemorySink())
         try:
             session.install("libdwarf", jobs=2)
